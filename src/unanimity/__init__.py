@@ -45,7 +45,6 @@ from unanimity.geometry import (
 from unanimity.feasibility import (
     ConstraintSet,
     HellyWitness,
-    SelectResult,
     feasible_full,
     helly_witness,
     select,
@@ -54,7 +53,6 @@ from unanimity.solvers import (
     Advice,
     SolveReport,
     WeightVector,
-    compute_record_count,
     solve_baseline,
     solve_deterministic,
     solve_randomized,
@@ -84,11 +82,9 @@ __all__ = [
     "ProjectionError",
     "QueryCategory",
     "QueryLedger",
-    "SelectResult",
     "SolveReport",
     "TurningPoint",
     "WeightVector",
-    "compute_record_count",
     "edge_lottery",
     "exact_threshold",
     "exact_threshold_pred",

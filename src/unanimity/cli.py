@@ -165,6 +165,40 @@ def _cmd_solve(args) -> int:
     return EXIT_ACCEPTED if report.accepted else EXIT_NULL
 
 
+def _is_agent(i, inst: Instance) -> bool:
+    # bool is an int subclass; JSON true must not pass for agent 1.
+    return type(i) is int and 1 <= i <= inst.n
+
+
+def _verify_witness(witness, inst: Instance) -> list[str]:
+    """Problems with a Null report's certificate; every Null must carry one.
+
+    Accepted forms: {"reject_all": i} with i in 1..n, or {"helly": [...]}
+    with at most m distinct agents in 1..n.
+    """
+    if isinstance(witness, dict) and list(witness) == ["reject_all"]:
+        i = witness["reject_all"]
+        if not _is_agent(i, inst):
+            return [f"reject_all witness {i!r} is not an agent index in 1..{inst.n}"]
+        agent = inst.agents[i - 1]
+        if max(agent.utilities) >= agent.threshold:
+            return [f"agent {i} does not reject every pure lottery"]
+        return []
+    if isinstance(witness, dict) and list(witness) == ["helly"]:
+        agents = witness["helly"]
+        if (not isinstance(agents, list) or len(agents) > inst.m
+                or not all(_is_agent(i, inst) for i in agents)
+                or len(set(agents)) != len(agents)):
+            return [f"helly witness {agents!r} is not at most m={inst.m} "
+                    f"distinct agent indices in 1..{inst.n}"]
+        rows = [(i, normalized_row(inst.agents[i - 1])) for i in agents]
+        problems = [f"witness agent {i} accepts everything" for i, row in rows if row is None]
+        if not problems and select(ConstraintSet(inst.m, rows)) is not None:
+            problems.append("claimed witness subset is feasible")
+        return problems
+    return [f'Null report needs a "helly" or a "reject_all" witness, got {witness!r}']
+
+
 def _verify_report(doc: dict, inst: Instance) -> list[str]:
     """Return a list of violated claims (empty means the report checks out)."""
     problems = []
@@ -176,24 +210,9 @@ def _verify_report(doc: dict, inst: Instance) -> list[str]:
             if expected_utility(agent, x) < agent.threshold:
                 problems.append(f"agent {i} rejects the reported lottery")
     elif kind == "Null":
-        if feasible_full(inst).is_feasible:
+        if feasible_full(inst) is not None:
             problems.append("instance is feasible but the report claims Null")
-        witness = outcome.get("witness", {})
-        if "reject_all" in witness:
-            i = witness["reject_all"]
-            agent = inst.agents[i - 1]
-            if max(agent.utilities) >= agent.threshold:
-                problems.append(f"agent {i} does not reject every pure lottery")
-        elif "helly" in witness:
-            rows = []
-            for i in witness["helly"]:
-                row = normalized_row(inst.agents[i - 1])
-                if row is None:
-                    problems.append(f"witness agent {i} accepts everything")
-                else:
-                    rows.append((i, row))
-            if not problems and select(ConstraintSet(inst.m, rows)).is_feasible:
-                problems.append("claimed witness subset is feasible")
+        problems += _verify_witness(outcome.get("witness"), inst)
     else:
         problems.append(f"unrecognized outcome kind {kind!r}")
     return problems

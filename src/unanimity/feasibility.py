@@ -2,19 +2,20 @@
 
 Constraints have the normalized form <c, x> >= 1 over the probability
 simplex.  ``select`` returns the lexicographically maximum feasible lottery
-(or Infeasible), ``helly_witness`` shrinks an infeasible set to a minimal
+(or None when the rows are infeasible), ``helly_witness`` shrinks an infeasible set to a minimal
 infeasible subset of at most m owners, and ``feasible_full`` answers the
 same question directly from a known instance without any oracle queries.
 
-The LP engine is a small two-phase simplex over ``fractions.Fraction``
-with Bland's least-index anti-cycling rule; problem sizes here are tiny
-(m coordinates plus one slack per learned agent), so clarity wins over
+The LP engine is one exact simplex tableau over ``fractions.Fraction`` per
+``select``: a single phase 1, then one pass per coordinate, each starting
+from the previous optimal basis (lexicographic simplex), with Bland's
+least-index anti-cycling rule.  Problem sizes here are tiny (m
+coordinates plus one surplus per learned agent), so clarity wins over
 sparse-matrix machinery.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -60,31 +61,6 @@ class ConstraintSet:
         return ConstraintSet(self.m, [row for row in self.rows if row[0] in keep])
 
 
-class SelectKind(enum.Enum):
-    FEASIBLE = "Feasible"
-    INFEASIBLE = "Infeasible"
-
-
-@dataclass(frozen=True)
-class SelectResult:
-    """Either the unique lex-max feasible lottery, or Infeasible."""
-
-    kind: SelectKind
-    lottery: Optional[Lottery] = None
-
-    @property
-    def is_feasible(self) -> bool:
-        return self.kind is SelectKind.FEASIBLE
-
-    @staticmethod
-    def feasible(x: Lottery) -> "SelectResult":
-        return SelectResult(SelectKind.FEASIBLE, x)
-
-    @staticmethod
-    def infeasible() -> "SelectResult":
-        return SelectResult(SelectKind.INFEASIBLE)
-
-
 @dataclass(frozen=True)
 class HellyWitness:
     """A minimal set of agents whose rows are jointly infeasible; size <= m."""
@@ -92,7 +68,7 @@ class HellyWitness:
     agents: frozenset[int]
 
 
-# --- exact two-phase simplex -------------------------------------------------
+# --- exact lexicographic simplex ---------------------------------------------
 
 
 def _pivot(rows, obj, basis, r, c) -> None:
@@ -108,13 +84,17 @@ def _pivot(rows, obj, basis, r, c) -> None:
     basis[r] = c
 
 
-def _simplex_max(rows, obj, basis) -> bool:
-    """Run pivots to optimality; False means unbounded.  Bland's rule."""
-    ncols = len(obj) - 1
+def _simplex_max(rows, obj, basis, allowed) -> None:
+    """Pivot to optimality, entering only columns in ``allowed`` (ascending).
+
+    Bland's rule: least-index entering column, least-index leaving basic
+    variable on ratio ties.  Every LP here lives inside the simplex, so an
+    unbounded ray is a bug.
+    """
     while True:
-        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        enter = next((j for j in allowed if obj[j] > 0), None)
         if enter is None:
-            return True
+            return
         leave = None
         best = None
         for r in range(len(rows)):
@@ -124,100 +104,60 @@ def _simplex_max(rows, obj, basis) -> bool:
                 if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
                     best, leave = ratio, r
         if leave is None:
-            return False
+            raise ArithmeticError("objective unbounded on a subset of the simplex")
         _pivot(rows, obj, basis, leave, enter)
-
-
-def _solve_lp_max(objective, A, b):
-    """Maximize <objective, x> subject to A x = b, x >= 0, exactly.
-
-    Returns (feasible, x) where x attains the maximum.  Unboundedness is a
-    caller bug here (all our feasible regions sit inside the simplex).
-    """
-    nvars = len(objective)
-    nrows = len(A)
-    rows = []
-    for arow, rhs in zip(A, b):
-        row = [Fraction(v) for v in arow] + [Fraction(rhs)]
-        if row[-1] < 0:
-            row = [-v for v in row]
-        rows.append(row)
-
-    # Phase 1: artificial basis, drive the artificials to zero.
-    for r in range(nrows):
-        rows[r] = rows[r][:-1] + [ONE if k == r else ZERO for k in range(nrows)] + [rows[r][-1]]
-    basis = [nvars + r for r in range(nrows)]
-    obj = [ZERO] * nvars + [-ONE] * nrows + [ZERO]
-    for r in range(nrows):
-        obj = [a + v for a, v in zip(obj, rows[r])]
-    _simplex_max(rows, obj, basis)
-    if any(basis[r] >= nvars and rows[r][-1] != 0 for r in range(nrows)):
-        return False, None
-
-    # Evict zero-valued artificials from the basis; drop redundant rows.
-    keep = []
-    for r in range(nrows):
-        if basis[r] >= nvars:
-            enter = next((j for j in range(nvars) if rows[r][j] != 0), None)
-            if enter is None:
-                continue
-            _pivot(rows, obj, basis, r, enter)
-        keep.append(r)
-    rows = [rows[r][:nvars] + [rows[r][-1]] for r in keep]
-    basis = [basis[r] for r in keep]
-
-    # Phase 2: the real objective over the feasible basis.
-    obj = [Fraction(v) for v in objective] + [ZERO]
-    for r, bcol in enumerate(basis):
-        if obj[bcol] != 0:
-            f = obj[bcol]
-            obj = [a - f * v for a, v in zip(obj, rows[r])]
-    if not _simplex_max(rows, obj, basis):
-        raise ArithmeticError("objective unbounded on a subset of the simplex")
-    x = [ZERO] * nvars
-    for r, bcol in enumerate(basis):
-        x[bcol] = rows[r][-1]
-    return True, x
 
 
 # --- public operations -------------------------------------------------------
 
 
-def _standard_form(C: ConstraintSet):
-    """Equality embedding: m coordinates plus one surplus slack per row."""
+def select(C: ConstraintSet) -> Optional[Lottery]:
+    """Lexicographically maximum lottery satisfying every row, or None.
+
+    One tableau over x_1..x_m and a surplus s_i per row: sum(x) = 1 and
+    <c_i, x> - s_i = 1.  Phase 1 finds a feasible basis, then x_1, x_2, ...
+    are maximized in turn, each from the previous optimal basis.  A column
+    whose reduced cost is negative at a pass's optimum is zero on that
+    pass's whole optimal face, so it may never enter again.  x_m needs no
+    pass: sum(x) = 1 fixes it.  Issues zero oracle queries.
+    """
     m, k = C.m, len(C.rows)
     nvars = m + k
-    A = [[ONE] * m + [ZERO] * k]
-    b = [ONE]
+    rows = [[ONE] * m + [ZERO] * k + [ONE]]
     for idx, (_, coeffs) in enumerate(C.rows):
-        row = list(coeffs) + [ZERO] * k
-        row[m + idx] = -ONE
-        A.append(row)
-        b.append(ONE)
-    return nvars, A, b
+        rows.append(list(coeffs) + [-ONE if s == idx else ZERO for s in range(k)] + [ONE])
 
+    # Phase 1: row r starts on an artificial variable, marked nvars + r in
+    # the basis.  Artificials never re-enter, so they need no columns; the
+    # reduced costs of min sum(artificials) are the column sums.
+    basis = [nvars + r for r in range(len(rows))]
+    obj = [sum(col) for col in zip(*rows)]
+    _simplex_max(rows, obj, basis, range(nvars))
+    if any(b >= nvars and rows[r][-1] != 0 for r, b in enumerate(basis)):
+        return None
+    # Pivot zero-valued artificials out; a row with no real entry is redundant.
+    for r in reversed(range(len(rows))):
+        if basis[r] >= nvars:
+            enter = next((j for j in range(nvars) if rows[r][j] != 0), None)
+            if enter is None:
+                del rows[r], basis[r]
+            else:
+                _pivot(rows, obj, basis, r, enter)
 
-def select(C: ConstraintSet) -> SelectResult:
-    """Lexicographically maximum lottery satisfying every row, or Infeasible.
+    allowed = list(range(nvars))
+    for j in range(m - 1):
+        obj = [ZERO] * (nvars + 1)
+        obj[j] = ONE
+        if j in basis:
+            obj = [a - v for a, v in zip(obj, rows[basis.index(j)])]
+        _simplex_max(rows, obj, basis, allowed)
+        allowed = [c for c in allowed if obj[c] == 0]
 
-    Solves m exact LP phases: maximize x_1, pin it as an equality, then
-    maximize x_2, and so on.  Issues zero oracle queries.
-    """
-    m = C.m
-    nvars, A, b = _standard_form(C)
-    pinned: list[Fraction] = []
-    for j in range(m):
-        objective = [ZERO] * nvars
-        objective[j] = ONE
-        feasible, x = _solve_lp_max(objective, A, b)
-        if not feasible:
-            return SelectResult.infeasible()
-        pinned.append(x[j])
-        row = [ZERO] * nvars
-        row[j] = ONE
-        A.append(row)
-        b.append(x[j])
-    return SelectResult.feasible(Lottery(pinned))
+    x = [ZERO] * m
+    for r, b in enumerate(basis):
+        if b < m:
+            x[b] = rows[r][-1]
+    return Lottery(x)
 
 
 def helly_witness(C: ConstraintSet) -> HellyWitness:
@@ -227,12 +167,12 @@ def helly_witness(C: ConstraintSet) -> HellyWitness:
     dropped iff the remainder is still infeasible.  The result is minimal,
     hence of size at most m.
     """
-    if select(C).is_feasible:
+    if select(C) is not None:
         raise ValueError("helly_witness requires an infeasible constraint set")
     kept = sorted(C.owners())
     for owner in sorted(C.owners()):
         trial = [o for o in kept if o != owner]
-        if not select(C.restrict(trial)).is_feasible:
+        if select(C.restrict(trial)) is None:
             kept = trial
     assert len(kept) <= C.m
     return HellyWitness(agents=frozenset(kept))
@@ -249,17 +189,17 @@ def normalized_row(agent: AgentSpec) -> Optional[tuple[Fraction, ...]]:
     return tuple((u - u_r) / (agent.threshold - u_r) for u in agent.utilities)
 
 
-def feasible_full(inst: Instance) -> SelectResult:
+def feasible_full(inst: Instance) -> Optional[Lottery]:
     """Zero-query ground truth: decide the instance from its hidden data.
 
-    Skips agents that accept everything, short-circuits Infeasible on an
+    Skips agents that accept everything, short-circuits None on an
     agent that rejects every pure lottery, and otherwise runs select over
     the normalized rows.
     """
     rows = []
     for idx, agent in enumerate(inst.agents, start=1):
         if max(agent.utilities) < agent.threshold:
-            return SelectResult.infeasible()
+            return None
         row = normalized_row(agent)
         if row is not None:
             rows.append((idx, row))

@@ -119,7 +119,7 @@ def _finish_bracket(
     o: Oracle, i: int, k: int, kprime: int, lower: Fraction, upper: Fraction
 ) -> TurningPoint:
     """Bisect an answer-bracketing interval down to the uniqueness width."""
-    Q = o.inv_epsilon if hasattr(o, "inv_epsilon") else int(1 / o.epsilon)
+    Q = int(1 / o.epsilon)
     gap = Fraction(1, 2 * Q * Q)  # eps^2 / 2
     while upper - lower > gap:
         mid = (lower + upper) / 2

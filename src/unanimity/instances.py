@@ -315,4 +315,6 @@ def read_instance(path) -> Instance:
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc
+    if Q < 2:
+        raise ValueError(f"malformed instance file {path}: inv_epsilon must be >= 2, got {Q}")
     return Instance(m, Fraction(1, Q), agents)

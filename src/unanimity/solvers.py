@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from unanimity.core import Instance, Lottery, format_rational
+from unanimity.core import Lottery, format_rational
 from unanimity.feasibility import (
     ConstraintSet,
     HellyWitness,
@@ -134,25 +134,12 @@ class SolveReport:
         return doc
 
 
-def _accepted(o: Oracle, x: Lottery, learned, iterations, seed=None) -> SolveReport:
+def _report(o: Oracle, learned, iterations, lottery=None, witness=None,
+            reject_all=None, seed=None) -> SolveReport:
+    """Snapshot a finished run: Accepted when ``lottery`` is given, else Null."""
     return SolveReport(
-        accepted=True,
-        lottery=x,
-        witness=None,
-        reject_all_agent=None,
-        ledger=o.snapshot_ledger(),
-        learned_agents=frozenset(learned),
-        record_count=len(learned),
-        iterations=iterations,
-        rng_seed=seed,
-        rng_algorithm=None if seed is None else RNG_ALGORITHM,
-    )
-
-
-def _null(o: Oracle, learned, iterations, witness=None, reject_all=None, seed=None) -> SolveReport:
-    return SolveReport(
-        accepted=False,
-        lottery=None,
+        accepted=lottery is not None,
+        lottery=lottery,
         witness=witness,
         reject_all_agent=reject_all,
         ledger=o.snapshot_ledger(),
@@ -196,12 +183,12 @@ def solve_baseline(o: Oracle) -> SolveReport:
         hs, _ = learn_hyperplane(o, i)
         learned[i] = hs
         if hs.kind is HalfspaceKind.REJECT_ALL:
-            return _null(o, learned, 0, reject_all=i)
+            return _report(o, learned, 0, reject_all=i)
     C = ConstraintSet(o.m, _rows(learned))
-    res = select(C)
-    if not res.is_feasible:
-        return _null(o, learned, 0, witness=helly_witness(C))
-    return _accepted(o, res.lottery, learned, 0)
+    x = select(C)
+    if x is None:
+        return _report(o, learned, 0, witness=helly_witness(C))
+    return _report(o, learned, 0, lottery=x)
 
 
 def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
@@ -223,15 +210,14 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
 
     if warm is not None:
         if _check_hint(o, warm):
-            return _accepted(o, warm, learned, iterations)
+            return _report(o, learned, iterations, lottery=warm)
 
     while True:
         iterations += 1
         C = ConstraintSet(o.m, _rows(learned))
-        res = select(C)
-        if not res.is_feasible:
-            return _null(o, learned, iterations, witness=helly_witness(C))
-        x = res.lottery
+        x = select(C)
+        if x is None:
+            return _report(o, learned, iterations, witness=helly_witness(C))
         violator = None
         for i in order:
             if i in learned:
@@ -240,11 +226,11 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
                 violator = i
                 break
         if violator is None:
-            return _accepted(o, x, learned, iterations)
+            return _report(o, learned, iterations, lottery=x)
         hs, _ = learn_hyperplane(o, violator, warm=warm)
         learned[violator] = hs
         if hs.kind is HalfspaceKind.REJECT_ALL:
-            return _null(o, learned, iterations, reject_all=violator)
+            return _report(o, learned, iterations, reject_all=violator)
 
 
 def weighted_sample(w: WeightVector, r_prime: int, rng: random.Random) -> dict[int, int]:
@@ -304,7 +290,7 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
 
     if warm is not None:
         if _check_hint(o, warm):
-            return _accepted(o, warm, learned, iterations, seed=seed)
+            return _report(o, learned, iterations, lottery=warm, seed=seed)
 
     while True:
         iterations += 1
@@ -315,25 +301,16 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
                 hs, _ = learn_hyperplane(o, i, warm=warm)
                 learned[i] = hs
                 if hs.kind is HalfspaceKind.REJECT_ALL:
-                    return _null(o, learned, iterations, reject_all=i, seed=seed)
+                    return _report(o, learned, iterations, reject_all=i, seed=seed)
         C = ConstraintSet(o.m, _rows(learned, restrict=set(sampled)))
-        res = select(C)
-        if not res.is_feasible:
-            return _null(o, learned, iterations, witness=helly_witness(C), seed=seed)
-        x = res.lottery
+        x = select(C)
+        if x is None:
+            return _report(o, learned, iterations, witness=helly_witness(C), seed=seed)
         violators = [
             i for i in range(1, n + 1)
             if not o.query(i, x, QueryCategory.VERIFICATION)
         ]
         if not violators:
-            return _accepted(o, x, learned, iterations, seed=seed)
+            return _report(o, learned, iterations, lottery=x, seed=seed)
         weights = weights.doubled(violators)
 
-
-def compute_record_count(inst: Instance, order) -> int:
-    """Diagnostic R(order): how many agents the deterministic solver is
-    forced to learn when scanning in the given order.  Runs on a fresh
-    simulated oracle; the instance's own query ledgers are untouched."""
-    o = Oracle(inst)
-    report = solve_deterministic(o, Advice(order=tuple(order)))
-    return len(report.learned_agents)

@@ -117,7 +117,7 @@ def test_criterion_3_and_5_oracle_equivalence_and_budget():
         truth = feasible_full(inst)
         for name in ("baseline", "deterministic", "randomized"):
             rep = run_solver(inst, name, seed=k)
-            ok3 &= rep.accepted == truth.is_feasible
+            ok3 &= rep.accepted == (truth is not None)
             if rep.accepted:
                 ok3 &= unanimous(inst, rep.lottery)
             if name == "deterministic":

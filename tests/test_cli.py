@@ -94,6 +94,15 @@ class TestSolve:
     def test_missing_instance_exits_io(self, tmp_path, capsys):
         assert run(["solve", tmp_path / "nope.json"]) == 66
 
+    @pytest.mark.parametrize("inv_epsilon", [0, 1, -3])
+    def test_bad_inv_epsilon_exits_usage(self, ex21, inv_epsilon, capsys):
+        doc = json.loads(ex21.read_text())
+        doc["inv_epsilon"] = inv_epsilon
+        ex21.write_text(json.dumps(doc))
+        assert run(["solve", ex21]) == 64
+        err = capsys.readouterr().err
+        assert "inv_epsilon" in err and "Traceback" not in err
+
 
 class TestVerify:
     def test_round_trip_passes(self, ex23, tmp_path, capsys):
@@ -123,6 +132,34 @@ class TestVerify:
         doc["outcome"]["witness"] = {"helly": [1]}  # one agent is not enough
         rep.write_text(json.dumps(doc))
         assert run(["verify", rep, ex21]) == 1
+
+    @pytest.mark.parametrize("witness", [
+        {"helly": [-1, 2]},  # -1 would alias the last agent
+        {"helly": [0, 2]},
+        {"helly": [1, 1]},
+        {"helly": [1, 2, 3]},
+        {"helly": ["1", 2]},
+        {"helly": [True, 2]},
+        {"helly": 12},
+        {"reject_all": 7},
+        {"reject_all": "1"},
+        {"reject_all": 1, "helly": [1, 2]},
+        {},
+        [1, 2],
+        None,  # no witness at all
+    ])
+    def test_malformed_null_witness_fails(self, ex21, tmp_path, capsys, witness):
+        rep = tmp_path / "rep.json"
+        run(["solve", ex21, "--out", rep])
+        doc = json.loads(rep.read_text())
+        if witness is None:
+            del doc["outcome"]["witness"]
+        else:
+            doc["outcome"]["witness"] = witness
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", rep, ex21]) == 1
+        assert capsys.readouterr().out.startswith("FAIL: ")
 
     def test_false_null_detected(self, ex23, ex21, tmp_path):
         rep = tmp_path / "rep.json"

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from reference_lp import helly_witness_reference, select_reference
 
 from unanimity import (
     AgentSpec,
@@ -52,33 +54,31 @@ class TestConstraintSet:
 
 class TestSelect:
     def test_empty_set_gives_first_vertex(self):
-        res = select(ConstraintSet(3, []))
-        assert res.lottery == Lottery.pure(1, 3)
+        assert select(ConstraintSet(3, [])) == Lottery.pure(1, 3)
 
     def test_worked_example_lexmax(self):
-        res = select(example_rows())
-        assert res.lottery.probs == (F(19, 64), F(37, 64), F(1, 8))
+        assert select(example_rows()).probs == (F(19, 64), F(37, 64), F(1, 8))
 
     def test_opposing_pair_infeasible(self):
-        assert not select(opposing_rows()).is_feasible
+        assert select(opposing_rows()) is None
 
     def test_feasible_point_satisfies_all_rows(self):
         C = example_rows()
-        x = select(C).lottery
+        x = select(C)
         for _, coeffs in C.rows:
             assert sum(c * p for c, p in zip(coeffs, x.probs)) >= 1
 
     def test_idempotent_and_stable_under_satisfied_rows(self):
         C = example_rows()
-        x = select(C).lottery
-        assert select(C).lottery == x
+        x = select(C)
+        assert select(C) == x
         # Appending a row x already satisfies cannot change the optimum.
         widened = ConstraintSet(3, list(C.rows) + [(9, [1, 1, 1])])
-        assert select(widened).lottery == x
+        assert select(widened) == x
 
     def test_lexmax_dominates_grid_feasible_points(self):
         C = example_rows()
-        best = select(C).lottery.probs
+        best = select(C).probs
         # Enumerate every 1/64-grid lottery; none feasible may beat lex-max.
         Q = 64
         for a, b in itertools.combinations(range(1, Q + 2), 2):
@@ -106,7 +106,7 @@ class TestHellyWitness:
 
         C = ConstraintSet(3, [(i + 1, cap_row(i)) for i in range(3)])
         for pair in itertools.combinations([1, 2, 3], 2):
-            assert select(C.restrict(pair)).is_feasible
+            assert select(C.restrict(pair)) is not None
         w = helly_witness(C)
         assert w.agents == frozenset({1, 2, 3})
 
@@ -121,15 +121,15 @@ class TestHellyWitness:
                 if any(coeffs):
                     rows.append((i, coeffs))
             C = ConstraintSet(m, rows)
-            if select(C).is_feasible:
+            if select(C) is not None:
                 continue
             built += 1
             w = helly_witness(C)
             assert len(w.agents) <= m
-            assert not select(C.restrict(w.agents)).is_feasible
+            assert select(C.restrict(w.agents)) is None
             for drop in w.agents:
                 rest = w.agents - {drop}
-                assert select(C.restrict(rest)).is_feasible
+                assert select(C.restrict(rest)) is not None
 
 
 class TestFeasibleFull:
@@ -141,27 +141,78 @@ class TestFeasibleFull:
         ])
 
     def test_worked_example(self):
-        res = feasible_full(self.example_instance())
-        assert res.lottery.probs == (F(19, 64), F(37, 64), F(1, 8))
+        x = feasible_full(self.example_instance())
+        assert x.probs == (F(19, 64), F(37, 64), F(1, 8))
         for agent in self.example_instance().agents:
-            assert expected_utility(agent, res.lottery) >= agent.threshold
+            assert expected_utility(agent, x) >= agent.threshold
 
     def test_infeasible_example(self):
         inst = Instance(2, F(1, 10), [
             AgentSpec([1, 0], "0.6"),
             AgentSpec([0, 1], "0.6"),
         ])
-        assert not feasible_full(inst).is_feasible
+        assert feasible_full(inst) is None
 
     def test_accept_all_agent_unconstrained(self):
         inst = Instance(2, F(1, 2), [AgentSpec([1, 1], F(1, 2))])
-        assert feasible_full(inst).lottery == Lottery.pure(1, 2)
+        assert feasible_full(inst) == Lottery.pure(1, 2)
 
     def test_reject_all_short_circuit(self):
         inst = Instance(2, F(1, 4), [AgentSpec([0, 0], F(1, 4))])
-        assert not feasible_full(inst).is_feasible
+        assert feasible_full(inst) is None
 
     def test_query_free(self):
         # No oracle exists here at all: feasible_full works off the instance.
-        res = feasible_full(self.example_instance())
-        assert res.is_feasible
+        assert feasible_full(self.example_instance()) is not None
+
+
+COEFF = st.integers(-8, 12).map(lambda a: F(a, 4))
+
+
+@st.composite
+def constraint_sets(draw):
+    """Rows mixing the degenerate shapes a lexicographic simplex trips on:
+    all-ones rows (tight on the whole simplex), duplicates, rows through a
+    simplex vertex, and several rows through one shared lottery p, which
+    makes p a degenerate vertex of the feasible region."""
+    m = draw(st.integers(1, 5))
+    parts = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
+    p = [F(a, sum(parts)) for a in parts]
+    rows = []
+    for owner in range(1, draw(st.integers(0, 7)) + 1):
+        kind = draw(st.sampled_from(["random", "ones", "duplicate", "vertex", "through_p"]))
+        coeffs = draw(st.lists(COEFF, min_size=m, max_size=m))
+        if kind == "ones":
+            coeffs = [F(1)] * m
+        elif kind == "duplicate" and rows:
+            coeffs = list(draw(st.sampled_from(rows))[1])
+        elif kind == "vertex":
+            coeffs[draw(st.integers(0, m - 1))] = F(1)
+        elif kind == "through_p":
+            dot = sum(c * q for c, q in zip(coeffs, p))
+            coeffs = [c / dot for c in coeffs] if dot else [F(1)] * m
+        if any(coeffs):
+            rows.append((owner, coeffs))
+    return ConstraintSet(m, rows)
+
+
+class TestAgainstReference:
+    """The one-tableau select against the m-solve reference LP."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(constraint_sets())
+    @example(ConstraintSet(1, []))
+    @example(ConstraintSet(1, [(1, [1])]))
+    @example(ConstraintSet(1, [(1, [F(1, 2)])]))
+    @example(ConstraintSet(3, []))
+    @example(ConstraintSet(3, [(1, [1, 1, 1]), (2, [1, 1, 1]), (3, [0, 0, 8])]))
+    @example(ConstraintSet(3, [(1, [2, 1, 0]), (2, [2, 1, 0]), (3, [0, F(8, 5), F(3, 5)])]))
+    @example(ConstraintSet(3, [(1, [0, F(4, 3), F(4, 3)]), (2, [F(4, 3), 0, F(4, 3)]),
+                               (3, [F(4, 3), F(4, 3), 0])]))
+    @example(ConstraintSet(3, [(1, [1, 0, 0]), (2, [1, -1, 2]), (3, [1, 3, -1]),
+                               (4, [0, F(5, 3), 0])]))
+    def test_select_and_witness_match_reference(self, C):
+        x = select(C)
+        assert x == select_reference(C)
+        if x is None:
+            assert helly_witness(C).agents == helly_witness_reference(C)
