@@ -36,7 +36,6 @@ from unanimity.oracle import Oracle, QueryCategory, QueryLedger
 from unanimity.geometry import (
     LearnedHalfspace,
     ProjectionError,
-    TurningPoint,
     exact_threshold,
     exact_threshold_pred,
     learn_hyperplane,
@@ -83,7 +82,6 @@ __all__ = [
     "QueryCategory",
     "QueryLedger",
     "SolveReport",
-    "TurningPoint",
     "WeightVector",
     "edge_lottery",
     "exact_threshold",

@@ -32,7 +32,7 @@ from unanimity.core import (
     format_rational,
     parse_rational,
 )
-from unanimity.feasibility import ConstraintSet, feasible_full, normalized_row, select
+from unanimity.feasibility import ConstraintSet, normalized_row, select
 from unanimity.instances import FAMILIES, GeneratorSpec, generate, read_instance, write_instance
 from unanimity.oracle import Oracle
 from unanimity.solvers import Advice, SolveReport, solve_baseline, solve_deterministic, solve_randomized
@@ -102,15 +102,25 @@ def _build_parser() -> _Parser:
     return p
 
 
+def _load_json_list(path: str, what: str) -> list:
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, list):
+        raise ValueError(f"{what} file {path} must hold a JSON list, got {doc!r}")
+    return doc
+
+
 def _load_advice(perm_path, lottery_path) -> Advice:
     order = None
     x_hat = None
     if perm_path:
-        with open(perm_path, "r", encoding="utf-8") as fh:
-            order = tuple(int(i) for i in json.load(fh))
+        order = _load_json_list(perm_path, "--advice-perm")
+        # bool is an int subclass; JSON true must not pass for agent 1.
+        if not (all(type(i) is int for i in order) or all(type(i) is str for i in order)):
+            raise ValueError(f"--advice-perm must list agent indices, got {order!r}")
     if lottery_path:
-        with open(lottery_path, "r", encoding="utf-8") as fh:
-            x_hat = Lottery([parse_rational(t) for t in json.load(fh)])
+        probs = _load_json_list(lottery_path, "--advice-lottery")
+        x_hat = Lottery([parse_rational(t) for t in probs])
     return Advice(order=order, x_hat=x_hat)
 
 
@@ -199,23 +209,27 @@ def _verify_witness(witness, inst: Instance) -> list[str]:
     return [f'Null report needs a "helly" or a "reject_all" witness, got {witness!r}']
 
 
-def _verify_report(doc: dict, inst: Instance) -> list[str]:
-    """Return a list of violated claims (empty means the report checks out)."""
-    problems = []
-    outcome = doc.get("outcome", {})
+def _verify_report(doc, inst: Instance) -> list[str]:
+    """Return a list of violated claims (empty means the report checks out).
+
+    A valid Null witness proves the whole instance infeasible, so a Null
+    report is judged by its witness alone.
+    """
+    outcome = doc.get("outcome") if isinstance(doc, dict) else None
+    if not isinstance(outcome, dict):
+        return [f'report needs an "outcome" object, got {outcome!r}']
     kind = outcome.get("kind")
     if kind == "Accepted":
-        x = Lottery([parse_rational(t) for t in outcome["lottery"]])
-        for i, agent in enumerate(inst.agents, start=1):
-            if expected_utility(agent, x) < agent.threshold:
-                problems.append(f"agent {i} rejects the reported lottery")
-    elif kind == "Null":
-        if feasible_full(inst) is not None:
-            problems.append("instance is feasible but the report claims Null")
-        problems += _verify_witness(outcome.get("witness"), inst)
-    else:
-        problems.append(f"unrecognized outcome kind {kind!r}")
-    return problems
+        lottery = outcome.get("lottery")
+        if not isinstance(lottery, list):
+            return [f'Accepted report needs a "lottery" list, got {lottery!r}']
+        x = Lottery([parse_rational(t) for t in lottery])
+        return [f"agent {i} rejects the reported lottery"
+                for i, agent in enumerate(inst.agents, start=1)
+                if expected_utility(agent, x) < agent.threshold]
+    if kind == "Null":
+        return _verify_witness(outcome.get("witness"), inst)
+    return [f"unrecognized outcome kind {kind!r}"]
 
 
 def _cmd_verify(args) -> int:

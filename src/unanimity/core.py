@@ -17,7 +17,12 @@ ONE = Fraction(1)
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse ``"p/q"`` or a terminating decimal like ``"0.65"`` exactly."""
+    """Parse ``"p/q"`` or a terminating decimal like ``"0.65"`` exactly.
+
+    Anything but a string (a JSON number, say) is a ValueError.
+    """
+    if not isinstance(text, str):
+        raise ValueError(f"not a rational string: {text!r}")
     try:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:

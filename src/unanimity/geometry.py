@@ -5,7 +5,9 @@ any edge from a rejected vertex e_k to an accepted vertex e_k' the agent's
 answer flips exactly once, at a turning point whose reduced denominator is
 bounded by 1/epsilon.  Bisection brackets the turning point inside an
 interval too narrow to contain two such rationals, after which rational
-reconstruction recovers it exactly with zero further queries.
+reconstruction recovers it exactly with zero further queries: the
+continued-fraction best approximation of the bracket's midpoint
+(``Fraction.limit_denominator``), O(log 1/epsilon) steps.
 
 ``learn_hyperplane`` stitches m - 1 turning points into a normalized
 coefficient vector c with acceptance test <c, x> >= 1, or reports the
@@ -70,15 +72,6 @@ class LearnedHalfspace:
 
 
 @dataclass(frozen=True)
-class TurningPoint:
-    """The exact flip coordinate on the edge (e_k rejected, e_k' accepted)."""
-
-    k: int
-    kprime: int
-    alpha_star: Fraction
-
-
-@dataclass(frozen=True)
 class ProjectionError:
     """Per-edge distance between a warm start and the true turning point."""
 
@@ -94,20 +87,19 @@ def bisection_budget(inv_epsilon: int) -> int:
 def rational_reconstruct(lower: Fraction, upper: Fraction, Q: int) -> Fraction:
     """Recover the unique rational in [lower, upper] with denominator <= Q.
 
-    Iterates q = 1..Q and takes p = ceil(q * lower); the first p/q landing
-    inside the bracket is the answer.  The caller guarantees the bracket is
-    narrower than the minimum gap between two such rationals.
+    The caller guarantees the bracket is at most 1/(2 Q^2) wide.  Two such
+    rationals are at least 1/Q^2 apart, so the one inside the bracket, if
+    any, is the closest to its midpoint: the midpoint's continued-fraction
+    best approximation with denominator <= Q.
     """
     lower, upper = Fraction(lower), Fraction(upper)
-    for q in range(1, Q + 1):
-        p = math.ceil(q * lower)
-        cand = Fraction(p, q)
-        if cand <= upper:
-            return cand
-    raise ArithmeticError(
-        f"no rational with denominator <= {Q} in [{lower}, {upper}]; "
-        "bracket precondition violated"
-    )
+    cand = ((lower + upper) / 2).limit_denominator(Q)
+    if not lower <= cand <= upper:
+        raise ArithmeticError(
+            f"no rational with denominator <= {Q} in [{lower}, {upper}]; "
+            "bracket precondition violated"
+        )
+    return cand
 
 
 def _edge_query(o: Oracle, i: int, k: int, kprime: int, alpha: Fraction) -> bool:
@@ -117,7 +109,7 @@ def _edge_query(o: Oracle, i: int, k: int, kprime: int, alpha: Fraction) -> bool
 
 def _finish_bracket(
     o: Oracle, i: int, k: int, kprime: int, lower: Fraction, upper: Fraction
-) -> TurningPoint:
+) -> Fraction:
     """Bisect an answer-bracketing interval down to the uniqueness width."""
     Q = int(1 / o.epsilon)
     gap = Fraction(1, 2 * Q * Q)  # eps^2 / 2
@@ -128,12 +120,12 @@ def _finish_bracket(
         else:
             lower = mid
     alpha = rational_reconstruct(lower, upper, Q)
-    if not (lower <= alpha <= upper) or not (ZERO < alpha <= ONE):
+    if not ZERO < alpha <= ONE:
         raise ArithmeticError("turning-point bracket broke; endpoint contract violated")
-    return TurningPoint(k, kprime, alpha)
+    return alpha
 
 
-def exact_threshold(o: Oracle, i: int, k: int, kprime: int) -> TurningPoint:
+def exact_threshold(o: Oracle, i: int, k: int, kprime: int) -> Fraction:
     """Find the turning point on edge (e_k, e_k') by plain bisection.
 
     The caller must already know Query(i, e_k) = False and
@@ -146,7 +138,7 @@ def exact_threshold(o: Oracle, i: int, k: int, kprime: int) -> TurningPoint:
 
 def exact_threshold_pred(
     o: Oracle, i: int, k: int, kprime: int, alpha_hat: Fraction
-) -> TurningPoint:
+) -> Fraction:
     """Warm-started turning-point search (same answer as exact_threshold).
 
     Starting from the predicted coordinate, geometrically growing steps
@@ -208,12 +200,11 @@ def learn_hyperplane(
 
     def turning(k: int, kprime: int) -> Fraction:
         if warm is None:
-            tp = exact_threshold(o, i, k, kprime)
-        else:
-            hat = pairwise_projection(warm, k, kprime)
-            tp = exact_threshold_pred(o, i, k, kprime, hat)
-            per_edge[(k, kprime)] = abs(hat - tp.alpha_star)
-        return tp.alpha_star
+            return exact_threshold(o, i, k, kprime)
+        hat = pairwise_projection(warm, k, kprime)
+        alpha = exact_threshold_pred(o, i, k, kprime, hat)
+        per_edge[(k, kprime)] = abs(hat - alpha)
+        return alpha
 
     r = rejected[0]
     alpha_r = {j: turning(r, j) for j in accepted}

@@ -307,11 +307,14 @@ def read_instance(path) -> Instance:
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
     try:
-        m = int(doc["m"])
-        Q = int(doc["inv_epsilon"])
+        m, Q, agents = doc["m"], doc["inv_epsilon"], doc["agents"]
+        # bool is an int subclass, and a string "u" would iterate its characters.
+        if not (type(m) is int and type(Q) is int and isinstance(agents, list)
+                and all(isinstance(a, dict) and isinstance(a["u"], list) for a in agents)):
+            raise TypeError('want integer "m" and "inv_epsilon" and a list of {"u": [...], "tau"}')
         agents = [
             AgentSpec([parse_rational(u) for u in a["u"]], parse_rational(a["tau"]))
-            for a in doc["agents"]
+            for a in agents
         ]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc

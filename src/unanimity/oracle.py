@@ -2,16 +2,14 @@
 
 The oracle is the only channel through which a solver may observe agent
 preferences.  Every call is counted -- there is no transparent caching, so
-query totals reflect oracle calls exactly.  Simulated mode answers from a
-hidden :class:`~unanimity.core.Instance`; interactive mode prompts a human
-on stdin and shares the same ledger.
+query totals reflect oracle calls exactly.  Answers come from a hidden
+:class:`~unanimity.core.Instance`.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-import sys
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
@@ -83,19 +81,13 @@ class Oracle:
         self,
         hidden: Instance,
         *,
-        interactive: bool = False,
         capture_trace: bool = False,
         trace_cap: int = 10_000,
-        prompt_out: IO[str] = sys.stdout,
-        prompt_in: IO[str] = sys.stdin,
     ) -> None:
         self._hidden = hidden
-        self.interactive = interactive
         self.ledger = QueryLedger(
             trace=[] if capture_trace else None, trace_cap=trace_cap
         )
-        self._prompt_out = prompt_out
-        self._prompt_in = prompt_in
 
     @property
     def n(self) -> int:
@@ -115,34 +107,10 @@ class Oracle:
             raise IndexError(f"agent index {i} out of range 1..{self.n}")
         if x.m != self.m:
             raise ValueError(f"lottery has {x.m} coordinates, expected {self.m}")
-        if self.interactive:
-            answer = self._ask_human(i, x)
-        else:
-            agent = self._hidden.agents[i - 1]
-            answer = expected_utility(agent, x) >= agent.threshold
+        agent = self._hidden.agents[i - 1]
+        answer = expected_utility(agent, x) >= agent.threshold
         self.ledger.record(i, cat, x, answer)
         return answer
 
     def snapshot_ledger(self) -> QueryLedger:
         return self.ledger.copy()
-
-    def _ask_human(self, i: int, x: Lottery) -> bool:
-        parts = []
-        for j, p in enumerate(x.probs, start=1):
-            pct = float(p) * 100.0
-            parts.append(f"s{j}: {format_rational(p)} ({pct:.1f}%)")
-        self._prompt_out.write(
-            f"Agent {i}: do you accept the lottery [{', '.join(parts)}]? [y/n] "
-        )
-        self._prompt_out.flush()
-        while True:
-            line = self._prompt_in.readline()
-            if not line:
-                raise EOFError("interactive oracle: stdin closed")
-            token = line.strip().lower()
-            if token in ("y", "yes", "true", "1"):
-                return True
-            if token in ("n", "no", "false", "0"):
-                return False
-            self._prompt_out.write("please answer y or n: ")
-            self._prompt_out.flush()

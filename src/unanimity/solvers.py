@@ -240,15 +240,14 @@ def weighted_sample(w: WeightVector, r_prime: int, rng: random.Random) -> dict[i
     hypergeometric chain -- so the multiset (which can be astronomically
     large) is never materialized.  Returns sampled-copy counts per agent.
     """
-    remaining = dict(w.weights)
+    remaining = dict(sorted(w.weights.items()))
     total = sum(remaining.values())
     if r_prime > total:
         raise ValueError(f"cannot draw {r_prime} copies from a multiset of {total}")
     counts: dict[int, int] = {}
     for _ in range(r_prime):
         t = rng.randrange(total)
-        for i in sorted(remaining):
-            c = remaining[i]
+        for i, c in remaining.items():
             if t < c:
                 counts[i] = counts.get(i, 0) + 1
                 if c == 1:

@@ -150,9 +150,9 @@ def test_criterion_4_closed_form_threshold():
             continue
         k, kp = rng.choice(rej), rng.choice(acc)
         o = Oracle(inst)
-        tp = exact_threshold(o, 1, k, kp)
+        alpha = exact_threshold(o, 1, k, kp)
         u_k, u_kp = agent.utilities[k - 1], agent.utilities[kp - 1]
-        ok &= tp.alpha_star == (agent.threshold - u_k) / (u_kp - u_k)
+        ok &= alpha == (agent.threshold - u_k) / (u_kp - u_k)
         ok &= o.ledger.count(QueryCategory.THRESHOLD_SEARCH) <= bisection_budget(Q)
         checked += 1
     elapsed = time.time() - start

@@ -1,9 +1,13 @@
 """Tests for the command line harness: gen, solve, verify, bench."""
 
+import contextlib
+import copy
 import csv
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unanimity.cli import main
 
@@ -94,6 +98,46 @@ class TestSolve:
     def test_missing_instance_exits_io(self, tmp_path, capsys):
         assert run(["solve", tmp_path / "nope.json"]) == 66
 
+    def test_perm_advice_as_strings(self, ex23, tmp_path, capsys):
+        perm = tmp_path / "perm.json"
+        perm.write_text('["3", "1", "2"]')
+        assert run(["solve", ex23, "--advice-perm", perm]) == 0
+
+    @pytest.mark.parametrize("flag,text", [
+        ("--advice-perm", "5"),
+        ("--advice-perm", "[true, 2, 3]"),
+        ("--advice-perm", '[1, "2", 3]'),
+        ("--advice-perm", "[1.0, 2, 3]"),
+        ("--advice-perm", '{"1": 1}'),
+        ("--advice-lottery", "[0.25, 0.5, 0.25]"),
+        ("--advice-lottery", '"1/3"'),
+        ("--advice-lottery", '{"1/4": "3/5"}'),
+    ])
+    def test_malformed_advice_exits_usage(self, ex23, tmp_path, capsys, flag, text):
+        advice = tmp_path / "advice.json"
+        advice.write_text(text)
+        assert run(["solve", ex23, flag, advice]) == 64
+
+    @pytest.mark.parametrize("path,value", [
+        (("agents", 0, "u"), [1, 0]),
+        (("agents", 0, "u"), "10"),  # would iterate as ["1", "0"]
+        (("agents", 0, "tau"), 0.6),
+        (("agents", 0), ["1", "0"]),
+        (("agents",), {"u": ["1", "0"], "tau": "3/5"}),
+        (("m",), 1e999),
+        (("m",), True),
+        (("m",), "2"),
+        (("inv_epsilon",), 10.0),
+    ])
+    def test_mistyped_instance_exits_usage(self, ex21, capsys, path, value):
+        doc = json.loads(ex21.read_text())
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        ex21.write_text(json.dumps(doc))
+        assert run(["solve", ex21]) == 64
+
     @pytest.mark.parametrize("inv_epsilon", [0, 1, -3])
     def test_bad_inv_epsilon_exits_usage(self, ex21, inv_epsilon, capsys):
         doc = json.loads(ex21.read_text())
@@ -161,6 +205,29 @@ class TestVerify:
         assert run(["verify", rep, ex21]) == 1
         assert capsys.readouterr().out.startswith("FAIL: ")
 
+    @pytest.mark.parametrize("doc", [
+        [],
+        "Accepted",
+        {},
+        {"outcome": "Accepted"},
+        {"outcome": ["Accepted"]},
+        {"outcome": {"kind": "Accepted"}},
+        {"outcome": {"kind": "Accepted", "lottery": "19/64"}},
+        {"outcome": {"kind": "Accepted", "lottery": {"1": "1"}}},
+    ])
+    def test_malformed_report_fails(self, ex23, tmp_path, capsys, doc):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", rep, ex23]) == 1
+        assert capsys.readouterr().out.startswith("FAIL: ")
+
+    def test_numeric_lottery_exits_usage(self, ex23, tmp_path, capsys):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(
+            {"outcome": {"kind": "Accepted", "lottery": [0.25, 0.6, 0.15]}}))
+        assert run(["verify", rep, ex23]) == 64
+
     def test_false_null_detected(self, ex23, ex21, tmp_path):
         rep = tmp_path / "rep.json"
         run(["solve", ex21, "--out", rep])  # genuine Null report
@@ -187,3 +254,68 @@ class TestBench:
         run(["bench", ex21, "--solver", "deterministic", "--out", out])
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["outcome"] == "Null" and rows[0]["n"] == "2"
+
+
+# Fuzz: replace one node of a valid report, instance or advice document with
+# an arbitrary small JSON value; the CLI must exit with a documented code.
+_KEYS = ["outcome", "kind", "lottery", "witness", "helly", "reject_all",
+         "m", "inv_epsilon", "agents", "u", "tau"]
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 6),
+    st.sampled_from([0.25, 1.5, -0.0, 1e300]),
+    st.sampled_from(["", " 1 ", "0", "1/2", "3/5", "-1/5", "1/0", "x", "2",
+                     "Accepted", "Null", "0.6"]),
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda kids: st.one_of(st.lists(kids, max_size=4),
+                           st.dictionaries(st.sampled_from(_KEYS), kids, max_size=4)),
+    max_leaves=10,
+)
+
+
+def _mutate(doc, data):
+    """``doc`` with one node (possibly the root) replaced by a fuzz value."""
+    if isinstance(doc, (list, dict)) and doc and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(range(len(doc)) if isinstance(doc, list) else list(doc)))
+        doc = copy.copy(doc)
+        doc[key] = _mutate(doc[key], data)
+        return doc
+    return data.draw(_JSON)
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    docs = {}
+    for family in ("example-2-3", "example-2-1"):
+        inst, rep = root / f"{family}.json", root / f"{family}.report.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            run(["gen", family, "--out", inst])
+            run(["solve", inst, "--out", rep])
+        docs[family] = (json.loads(inst.read_text()), json.loads(rep.read_text()))
+    return root, docs
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_json_exits_with_a_documented_code(fuzz_base, data):
+    root, docs = fuzz_base
+    family = data.draw(st.sampled_from(sorted(docs)))
+    inst_doc, rep_doc = docs[family]
+    inst, rep, adv = root / "f.instance.json", root / "f.report.json", root / "f.advice.json"
+    target = data.draw(st.sampled_from(["report", "instance", "perm", "lottery"]))
+    inst.write_text(json.dumps(_mutate(inst_doc, data) if target == "instance" else inst_doc))
+    rep.write_text(json.dumps(_mutate(rep_doc, data) if target == "report" else rep_doc))
+    if target == "report":
+        argvs = [["verify", rep, inst]]
+    elif target == "instance":
+        argvs = [["verify", rep, inst], ["solve", inst, "--out", root / "out.json"]]
+    else:
+        base = list(range(1, len(inst_doc["agents"]) + 1)) if target == "perm" \
+            else ["1/2", "1/2"] + ["0"] * (inst_doc["m"] - 2)
+        adv.write_text(json.dumps(_mutate(base, data)))
+        argvs = [["solve", inst, f"--advice-{target}", adv, "--out", root / "out.json"]]
+    for argv in argvs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert run(argv) in (0, 1, 3, 64, 66)

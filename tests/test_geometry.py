@@ -5,9 +5,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unanimity import (
     AgentSpec,
+    GeneratorSpec,
     Instance,
     Lottery,
     Oracle,
@@ -15,9 +17,12 @@ from unanimity import (
     exact_threshold,
     exact_threshold_pred,
     expected_utility,
+    generate,
     learn_hyperplane,
     pairwise_projection,
     rational_reconstruct,
+    solve_baseline,
+    solve_deterministic,
 )
 from unanimity.geometry import HalfspaceKind, bisection_budget
 
@@ -51,6 +56,15 @@ def rejected_accepted_pairs(agent):
     return [(k, kp) for k in rej for kp in acc]
 
 
+def scan_reconstruct(lower: F, upper: F, Q: int) -> F:
+    """Reference: the first p/q in [lower, upper] over q = 1..Q, O(Q) steps."""
+    for q in range(1, Q + 1):
+        p = math.ceil(q * lower)
+        if F(p, q) <= upper:
+            return F(p, q)
+    raise ArithmeticError(f"no rational with denominator <= {Q} in [{lower}, {upper}]")
+
+
 class TestRationalReconstruct:
     def test_small_bracket_around_three_fifths(self):
         assert rational_reconstruct(F(598, 1000), F(602, 1000), 10) == F(3, 5)
@@ -77,17 +91,40 @@ class TestRationalReconstruct:
         with pytest.raises(ArithmeticError):
             rational_reconstruct(F(101, 1000), F(102, 1000), 5)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        Q=st.integers(2, 5000),
+        data=st.data(),
+        width=st.fractions(0, 1, max_denominator=1000),
+        shift=st.fractions(0, 2, max_denominator=1000),
+    )
+    def test_matches_scan_on_uniqueness_width_brackets(self, Q, data, width, shift):
+        # A bracket at most 1/(2 Q^2) wide, holding p/q when shift <= 1 and
+        # lying just below it (maybe holding no candidate) otherwise.
+        q = data.draw(st.integers(1, Q))
+        p = data.draw(st.integers(0, q))
+        width *= F(1, 2 * Q * Q)
+        lower = F(p, q) - shift * width
+        upper = lower + width
+        try:
+            expected = scan_reconstruct(lower, upper, Q)
+        except ArithmeticError:
+            with pytest.raises(ArithmeticError):
+                rational_reconstruct(lower, upper, Q)
+        else:
+            assert rational_reconstruct(lower, upper, Q) == expected
+
 
 class TestExactThreshold:
     def test_direct_substitution(self):
         inst = Instance(2, F(1, 10), [AgentSpec([0, 1], "0.6")])
         o = Oracle(inst)
-        assert exact_threshold(o, 1, 1, 2).alpha_star == F(3, 5)
+        assert exact_threshold(o, 1, 1, 2) == F(3, 5)
 
     def test_worked_example_edges(self):
         o = Oracle(example_instance())
-        assert exact_threshold(o, 1, 3, 1).alpha_star == F(1, 2)
-        assert exact_threshold(o, 1, 3, 2).alpha_star == 1
+        assert exact_threshold(o, 1, 3, 1) == F(1, 2)
+        assert exact_threshold(o, 1, 3, 2) == 1
 
     def test_closed_form_equivalence_and_budget(self):
         rng = random.Random(11)
@@ -99,10 +136,23 @@ class TestExactThreshold:
             agent = inst.agents[0]
             for k, kp in rejected_accepted_pairs(agent):
                 o = Oracle(inst)
-                tp = exact_threshold(o, 1, k, kp)
-                assert tp.alpha_star == closed_form(agent, k, kp)
-                assert tp.alpha_star.denominator <= Q
+                alpha = exact_threshold(o, 1, k, kp)
+                assert alpha == closed_form(agent, k, kp)
+                assert alpha.denominator <= Q
                 assert o.ledger.count(TS) <= budget[Q]
+                checked += 1
+
+    @pytest.mark.parametrize("Q", [1000, 10**6, 999_999_937, 10**9])
+    def test_closed_form_on_fine_grids(self, Q):
+        rng = random.Random(Q)
+        checked = 0
+        while checked < 40:
+            inst = random_instance(rng, 1, rng.choice([2, 3, 4]), Q)
+            agent = inst.agents[0]
+            for k, kp in rejected_accepted_pairs(agent):
+                o = Oracle(inst)
+                assert exact_threshold(o, 1, k, kp) == closed_form(agent, k, kp)
+                assert o.ledger.count(TS) <= bisection_budget(Q)
                 checked += 1
 
     def test_budget_value(self):
@@ -121,17 +171,15 @@ class TestExactThresholdPred:
             if not pairs:
                 continue
             k, kp = rng.choice(pairs)
-            truth = exact_threshold(Oracle(inst), 1, k, kp).alpha_star
+            truth = exact_threshold(Oracle(inst), 1, k, kp)
             eps = F(1, Q)
             for hint in (F(0), eps * eps, F(1, 3), F(1, 2), F(1)):
-                got = exact_threshold_pred(Oracle(inst), 1, k, kp, hint)
-                assert got.alpha_star == truth
+                assert exact_threshold_pred(Oracle(inst), 1, k, kp, hint) == truth
 
     def test_perfect_hint_uses_few_queries(self):
         inst = Instance(2, F(1, 10), [AgentSpec([0, 1], "0.6")])
         o = Oracle(inst)
-        tp = exact_threshold_pred(o, 1, 1, 2, F(3, 5))
-        assert tp.alpha_star == F(3, 5)
+        assert exact_threshold_pred(o, 1, 1, 2, F(3, 5)) == F(3, 5)
         assert o.ledger.total <= 4
 
     def test_worst_case_hint_stays_close_to_plain_cost(self):
@@ -139,7 +187,7 @@ class TestExactThresholdPred:
         o_plain = Oracle(inst)
         exact_threshold(o_plain, 1, 1, 2)
         o_pred = Oracle(inst)
-        assert exact_threshold_pred(o_pred, 1, 1, 2, F(0)).alpha_star == 1
+        assert exact_threshold_pred(o_pred, 1, 1, 2, F(0)) == 1
         # Walking out and bisecting back each cost ~log(1/eps^2): a maximally
         # wrong hint is at most twice the plain cost plus a constant.
         assert o_pred.ledger.total <= 2 * o_plain.ledger.total + 4
@@ -148,6 +196,14 @@ class TestExactThresholdPred:
         o = Oracle(example_instance())
         with pytest.raises(ValueError):
             exact_threshold_pred(o, 1, 3, 1, F(3, 2))
+
+
+@pytest.mark.parametrize("solve", [solve_baseline, solve_deterministic])
+def test_grid_singleton_at_one_in_a_billion(solve):
+    inst, truth, _ = generate(GeneratorSpec(
+        "grid-singleton", {"m": 4, "inv_epsilon": 10**9, "seed": 5}))
+    report = solve(Oracle(inst))
+    assert report.lottery == truth.lottery
 
 
 def sample_lotteries(m, count=200, seed=5):

@@ -122,25 +122,3 @@ class TestLedger:
         for _ in range(5):
             o.query(1, Lottery.pure(1, 3), PV)
         assert len(o.ledger.trace) == 2 and o.ledger.total == 5
-
-
-class TestInteractiveMode:
-    def test_stdin_answers_share_the_ledger(self):
-        out = io.StringIO()
-        o = Oracle(example_instance(), interactive=True,
-                   prompt_out=out, prompt_in=io.StringIO("y\nn\n"))
-        assert o.query(1, Lottery.pure(1, 3), PV) is True
-        assert o.query(1, Lottery.pure(2, 3), PV) is False
-        assert o.ledger.total == 2
-        assert "Agent 1" in out.getvalue() and "%" in out.getvalue()
-
-    def test_reprompts_on_garbage(self):
-        o = Oracle(example_instance(), interactive=True,
-                   prompt_out=io.StringIO(), prompt_in=io.StringIO("maybe\nyes\n"))
-        assert o.query(2, Lottery.pure(2, 3), PV) is True
-
-    def test_eof_raises(self):
-        o = Oracle(example_instance(), interactive=True,
-                   prompt_out=io.StringIO(), prompt_in=io.StringIO(""))
-        with pytest.raises(EOFError):
-            o.query(1, Lottery.pure(1, 3), PV)
