@@ -9,7 +9,7 @@ Subcommands (run as ``python -m unanimity ...``):
   Exit code 0 means a unanimously acceptable lottery was found, 3 means a
   certified Null.
 * ``verify`` -- re-check a report against its instance by direct
-  expected-utility evaluation (no oracle, no solver trust).
+  evaluation of every agent's membership test (no oracle, no solver trust).
 * ``bench``  -- sweep (instance, solver, seed) combinations and append
   rows to a CSV table.
 
@@ -23,15 +23,8 @@ import csv
 import json
 import sys
 import time
-from fractions import Fraction
 
-from unanimity.core import (
-    Instance,
-    Lottery,
-    expected_utility,
-    format_rational,
-    parse_rational,
-)
+from unanimity.core import Instance, Lottery, format_rational, parse_rational
 from unanimity.feasibility import ConstraintSet, normalized_row, select
 from unanimity.instances import FAMILIES, GeneratorSpec, generate, read_instance, write_instance
 from unanimity.oracle import Oracle
@@ -172,6 +165,12 @@ def _cmd_solve(args) -> int:
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
             oracle.ledger.write_trace_csv(fh)
+        ledger = oracle.ledger
+        if ledger.trace_dropped:
+            sys.stderr.write(
+                f"unanimity: warning: trace {args.trace} holds the first "
+                f"{ledger.trace_cap} of {ledger.total} queries; "
+                f"{ledger.trace_dropped} were not recorded\n")
     return EXIT_ACCEPTED if report.accepted else EXIT_NULL
 
 
@@ -224,9 +223,10 @@ def _verify_report(doc, inst: Instance) -> list[str]:
         if not isinstance(lottery, list):
             return [f'Accepted report needs a "lottery" list, got {lottery!r}']
         x = Lottery([parse_rational(t) for t in lottery])
+        if x.m != inst.m:
+            raise ValueError(f"dimension mismatch: instance has {inst.m}, lottery {x.m}")
         return [f"agent {i} rejects the reported lottery"
-                for i, agent in enumerate(inst.agents, start=1)
-                if expected_utility(agent, x) < agent.threshold]
+                for i in range(1, inst.n + 1) if not inst.accepts(i, x)]
     if kind == "Null":
         return _verify_witness(outcome.get("witness"), inst)
     return [f"unrecognized outcome kind {kind!r}"]

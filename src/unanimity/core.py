@@ -4,12 +4,21 @@ Every quantity in the model is a rational number; ``fractions.Fraction``
 (arbitrary-precision, always stored reduced with a positive denominator)
 is used as the universal number type.  All types here are immutable after
 construction and validate their invariants eagerly.
+
+The membership test ``<u_i, x> >= tau_i`` is decided over Python ints
+(:meth:`Instance.accepts`): every utility and threshold is a multiple of
+epsilon, so scaling by 1/epsilon makes them integers, and a lottery carries
+its coordinates over one common denominator.  Both sides of the test are
+then exact integers and no Fraction is built per query.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -34,22 +43,35 @@ def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
 
+def _as_fraction(value) -> Fraction:
+    return value if type(value) is Fraction else Fraction(value)
+
+
 def _as_fractions(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(_as_fraction, values))
 
 
 @dataclass(frozen=True)
 class Lottery:
-    """A probability vector over the m alternatives, with exact coordinates."""
+    """A probability vector over the m alternatives, with exact coordinates.
+
+    ``scaled`` is the same vector over a common denominator: ``(P, D)`` with
+    ``probs[j] == P[j] / D`` and D the least common denominator.
+    """
 
     probs: tuple[Fraction, ...]
+    scaled: tuple[tuple[int, ...], int] = field(repr=False, compare=False)
 
     def __init__(self, probs: Sequence) -> None:
-        object.__setattr__(self, "probs", _as_fractions(probs))
-        if any(p < 0 for p in self.probs):
+        probs = _as_fractions(probs)
+        D = math.lcm(*(p.denominator for p in probs))
+        P = tuple(p.numerator * (D // p.denominator) for p in probs)
+        if any(c < 0 for c in P):
             raise ValueError("lottery has a negative coordinate")
-        if sum(self.probs, ZERO) != ONE:
+        if sum(P) != D:
             raise ValueError("lottery coordinates must sum to exactly 1")
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "scaled", (P, D))
 
     @property
     def m(self) -> int:
@@ -85,10 +107,11 @@ class AgentSpec:
 
     def __init__(self, utilities: Sequence, threshold) -> None:
         object.__setattr__(self, "utilities", _as_fractions(utilities))
-        object.__setattr__(self, "threshold", Fraction(threshold))
-        if any(not (ZERO <= u <= ONE) for u in self.utilities):
+        object.__setattr__(self, "threshold", _as_fraction(threshold))
+        # Denominators are positive: 0 <= p/q <= 1 iff 0 <= p <= q.
+        if any(not 0 <= u.numerator <= u.denominator for u in self.utilities):
             raise ValueError("utilities must lie in [0, 1]")
-        if not (ZERO < self.threshold <= ONE):
+        if not 0 < self.threshold.numerator <= self.threshold.denominator:
             raise ValueError("threshold must lie in (0, 1]")
 
     @property
@@ -98,7 +121,11 @@ class AgentSpec:
 
 @dataclass(frozen=True)
 class Instance:
-    """A hidden problem instance: menu size, quantization grid, agents."""
+    """A hidden problem instance: menu size, quantization grid, agents.
+
+    Every utility and threshold is a multiple of ``epsilon``, which is what
+    lets :meth:`accepts` decide membership over integers exactly.
+    """
 
     m: int
     epsilon: Fraction
@@ -111,17 +138,19 @@ class Instance:
         inv = 1 / epsilon
         if inv.denominator != 1 or inv < 2:
             raise ValueError("1/epsilon must be an integer >= 2")
+        Q = inv.numerator
         agents = tuple(agents)
         for idx, agent in enumerate(agents, start=1):
             if agent.m != m:
                 raise ValueError(f"agent {idx}: expected {m} utilities, got {agent.m}")
+            # In lowest terms, p/q is a multiple of 1/Q iff q divides Q.
             for j, u in enumerate(agent.utilities, start=1):
-                if (u / epsilon).denominator != 1:
+                if Q % u.denominator:
                     raise ValueError(
                         f"agent {idx}: utility for alternative {j} is not a "
                         f"multiple of epsilon={epsilon}"
                     )
-            if (agent.threshold / epsilon).denominator != 1:
+            if Q % agent.threshold.denominator:
                 raise ValueError(
                     f"agent {idx}: threshold is not a multiple of epsilon={epsilon}"
                 )
@@ -135,7 +164,37 @@ class Instance:
 
     @property
     def inv_epsilon(self) -> int:
-        return int(1 / self.epsilon)
+        return self.epsilon.denominator
+
+    @cached_property
+    def _grid_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """Per agent, utilities and threshold in units of epsilon, as ints.
+
+        Built on the first membership test, not in ``__init__``: most
+        instances that are only generated, written or held never need them.
+        """
+        Q = self.inv_epsilon
+        return tuple(
+            (tuple(u.numerator * (Q // u.denominator) for u in a.utilities),
+             a.threshold.numerator * (Q // a.threshold.denominator))
+            for a in self.agents
+        )
+
+    def accepts(self, i: int, x: Lottery) -> bool:
+        """Does agent ``i`` (1-based) accept ``x``, i.e. <u_i, x> >= tau_i?
+
+        With U = u_i/epsilon, T = tau_i/epsilon and x = P/D, the test is
+        sum_j U_j P_j >= T D, decided exactly over Python ints.
+        ``expected_utility`` is the Fraction reference for the same test.
+        """
+        rows = self._grid_rows
+        if not 1 <= i <= len(rows):
+            raise IndexError(f"agent index {i} out of range 1..{len(rows)}")
+        U, T = rows[i - 1]
+        P, D = x.scaled
+        if len(P) != len(U):
+            raise ValueError(f"dimension mismatch: agent has {len(U)}, lottery {len(P)}")
+        return sum(map(mul, U, P)) >= T * D
 
 
 @dataclass(frozen=True)

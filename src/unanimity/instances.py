@@ -312,10 +312,19 @@ def read_instance(path) -> Instance:
         if not (type(m) is int and type(Q) is int and isinstance(agents, list)
                 and all(isinstance(a, dict) and isinstance(a["u"], list) for a in agents)):
             raise TypeError('want integer "m" and "inv_epsilon" and a list of {"u": [...], "tau"}')
-        agents = [
-            AgentSpec([parse_rational(u) for u in a["u"]], parse_rational(a["tau"]))
-            for a in agents
-        ]
+        # A grid holds at most 1/epsilon + 1 values: parse each string once.
+        # Only strings reach the cache (parse_rational rejects the rest); an
+        # unhashable value is a TypeError.
+        parsed: dict[str, Fraction] = {}
+
+        def rational(text) -> Fraction:
+            value = parsed.get(text)
+            if value is None:
+                value = parsed[text] = parse_rational(text)
+            return value
+
+        agents = [AgentSpec([rational(u) for u in a["u"]], rational(a["tau"]))
+                  for a in agents]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc
     if Q < 2:

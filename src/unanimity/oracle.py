@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import IO, Optional
 
-from unanimity.core import Instance, Lottery, expected_utility, format_rational
+from unanimity.core import Instance, Lottery, format_rational
 
 
 class QueryCategory(enum.Enum):
@@ -27,7 +27,11 @@ class QueryCategory(enum.Enum):
 
 @dataclass
 class QueryLedger:
-    """Running counters for oracle calls, with an optional bounded trace."""
+    """Running counters for oracle calls, with an optional bounded trace.
+
+    The trace keeps the first ``trace_cap`` queries; ``trace_dropped``
+    counts the queries past the cap that it did not keep.
+    """
 
     total: int = 0
     per_agent: dict[int, int] = field(default_factory=dict)
@@ -50,6 +54,11 @@ class QueryLedger:
             trace=None if self.trace is None else list(self.trace),
             trace_cap=self.trace_cap,
         )
+
+    @property
+    def trace_dropped(self) -> int:
+        """Queries past ``trace_cap`` that the trace did not keep."""
+        return 0 if self.trace is None else self.total - len(self.trace)
 
     def count(self, cat: QueryCategory) -> int:
         return self.per_category.get(cat, 0)
@@ -102,13 +111,12 @@ class Oracle:
         return self._hidden.epsilon
 
     def query(self, i: int, x: Lottery, cat: QueryCategory) -> bool:
-        """Ask agent ``i`` (1-based) whether it accepts lottery ``x``."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"agent index {i} out of range 1..{self.n}")
-        if x.m != self.m:
-            raise ValueError(f"lottery has {x.m} coordinates, expected {self.m}")
-        agent = self._hidden.agents[i - 1]
-        answer = expected_utility(agent, x) >= agent.threshold
+        """Ask agent ``i`` (1-based) whether it accepts lottery ``x``.
+
+        Raises IndexError for an agent outside 1..n and ValueError for a
+        lottery of the wrong dimension (see :meth:`Instance.accepts`).
+        """
+        answer = self._hidden.accepts(i, x)
         self.ledger.record(i, cat, x, answer)
         return answer
 

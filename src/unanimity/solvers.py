@@ -23,6 +23,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Optional
 
 from unanimity.core import Lottery, format_rational
@@ -239,24 +240,40 @@ def weighted_sample(w: WeightVector, r_prime: int, rng: random.Random) -> dict[i
     Sequential draws proportional to remaining copy counts -- an exact
     hypergeometric chain -- so the multiset (which can be astronomically
     large) is never materialized.  Returns sampled-copy counts per agent.
+
+    Remaining counts live in a Fenwick tree over the agents in ascending
+    index order, so each draw is O(log n) and a value ``t`` from
+    ``rng.randrange(total)`` picks the same agent as a running-sum scan
+    in that order: the first whose cumulative count exceeds ``t``.
     """
-    remaining = dict(sorted(w.weights.items()))
-    total = sum(remaining.values())
+    agents = sorted(w.weights)
+    size = len(agents)
+    prefix = list(accumulate((w.weights[i] for i in agents), initial=0))
+    total = prefix[-1]
     if r_prime > total:
         raise ValueError(f"cannot draw {r_prime} copies from a multiset of {total}")
+    # tree[k] holds the counts of positions k - lowbit(k) + 1 .. k (1-based).
+    tree = [0] + [prefix[k] - prefix[k & (k - 1)] for k in range(1, size + 1)]
+    top = (1 << size.bit_length()) >> 1  # largest power of two <= size
     counts: dict[int, int] = {}
     for _ in range(r_prime):
         t = rng.randrange(total)
-        for i, c in remaining.items():
-            if t < c:
-                counts[i] = counts.get(i, 0) + 1
-                if c == 1:
-                    del remaining[i]
-                else:
-                    remaining[i] = c - 1
-                total -= 1
-                break
-            t -= c
+        # Descend to the last position whose prefix count is <= t; the agent
+        # after it is the first whose running count exceeds t.
+        pos, step = 0, top
+        while step:
+            nxt = pos + step
+            if nxt <= size and tree[nxt] <= t:
+                pos = nxt
+                t -= tree[nxt]
+            step >>= 1
+        i = agents[pos]
+        counts[i] = counts.get(i, 0) + 1
+        k = pos + 1
+        while k <= size:
+            tree[k] -= 1
+            k += k & -k
+        total -= 1
     return counts
 
 

@@ -3,13 +3,16 @@
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from unanimity import cli
 from unanimity.cli import main
+from unanimity.oracle import Oracle
 
 
 def run(argv):
@@ -94,6 +97,20 @@ class TestSolve:
         rows = list(csv.reader(trace.open()))
         assert rows[0] == ["seq", "agent", "category", "lottery", "answer"]
         assert len(rows) > 1
+
+    def test_trace_truncation_is_reported(self, ex23, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "Oracle", functools.partial(Oracle, trace_cap=4))
+        trace = tmp_path / "trace.csv"
+        assert run(["solve", ex23, "--trace", trace, "--out", tmp_path / "r.json"]) == 0
+        total = json.loads((tmp_path / "r.json").read_text())["queries"]["total"]
+        assert len(list(csv.reader(trace.open()))) == 1 + 4
+        err = capsys.readouterr().err
+        assert err == (f"unanimity: warning: trace {trace} holds the first 4 of {total} "
+                       f"queries; {total - 4} were not recorded\n")
+
+    def test_untruncated_trace_prints_no_warning(self, ex23, tmp_path, capsys):
+        run(["solve", ex23, "--trace", tmp_path / "t.csv", "--out", tmp_path / "r.json"])
+        assert capsys.readouterr().err == ""
 
     def test_missing_instance_exits_io(self, tmp_path, capsys):
         assert run(["solve", tmp_path / "nope.json"]) == 66
@@ -221,6 +238,15 @@ class TestVerify:
         capsys.readouterr()
         assert run(["verify", rep, ex23]) == 1
         assert capsys.readouterr().out.startswith("FAIL: ")
+
+    @pytest.mark.parametrize("lottery", [["1/2", "1/2"], ["1/4", "1/4", "1/4", "1/4"]])
+    def test_lottery_of_wrong_dimension_exits_usage(self, ex23, tmp_path, capsys, lottery):
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"outcome": {"kind": "Accepted", "lottery": lottery}}))
+        capsys.readouterr()
+        assert run(["verify", rep, ex23]) == 64
+        captured = capsys.readouterr()
+        assert "dimension mismatch" in captured.err and "pass" not in captured.out
 
     def test_numeric_lottery_exits_usage(self, ex23, tmp_path, capsys):
         rep = tmp_path / "rep.json"

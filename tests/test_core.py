@@ -3,7 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from unanimity import (
     AgentSpec,
@@ -68,6 +68,16 @@ class TestLottery:
         assert Lottery.pure(2, 3).probs == (0, 1, 0)
         with pytest.raises(ValueError):
             Lottery.pure(4, 3)
+
+    def test_scaled_is_the_common_denominator_form(self):
+        assert Lottery(["1/4", "0.6", "0.15"]).scaled == ((5, 12, 3), 20)
+        assert Lottery.pure(2, 3).scaled == ((0, 1, 0), 1)
+
+    @given(lotteries(4))
+    def test_scaled_round_trips(self, x):
+        P, D = x.scaled
+        assert tuple(F(c, D) for c in P) == x.probs
+        assert sum(P) == D and min(P) >= 0
 
 
 class TestAgentAndInstance:
@@ -156,3 +166,66 @@ class TestPairwiseProjection:
     def test_round_trip_with_edge_lottery(self, alpha):
         x = edge_lottery(EdgePoint(1, 3, alpha), 4)
         assert pairwise_projection(x, 1, 3) == alpha
+
+
+@st.composite
+def grid_cases(draw):
+    """A grid instance, a lottery of arbitrary denominators, and the indices
+    of the agents built to sit exactly on their threshold at that lottery."""
+    m = draw(st.integers(1, 5))
+    Q = draw(st.integers(2, 40) | st.sampled_from([1000, 10**9 + 7]))
+    weights = draw(st.lists(st.integers(0, 97), min_size=m, max_size=m))
+    if sum(weights) == 0:
+        weights[draw(st.integers(0, m - 1))] = 1
+    x = Lottery([F(w, sum(weights)) for w in weights])
+    agents, boundary = [], []
+    for idx in range(1, draw(st.integers(1, 6)) + 1):
+        kind = draw(st.sampled_from(["random", "zero-one", "boundary"]))
+        if kind == "boundary":
+            # Utility c on x's support: <u, x> == c/Q == tau exactly.
+            c = draw(st.integers(1, Q))
+            u = [c if p > 0 else draw(st.integers(0, Q)) for p in x.probs]
+            t = c
+            boundary.append(idx)
+        else:
+            top = Q if kind == "random" else 1
+            u = [draw(st.integers(0, top)) * (Q // top) for _ in range(m)]
+            t = draw(st.integers(1, Q))
+        agents.append(AgentSpec([F(a, Q) for a in u], F(t, Q)))
+    return Instance(m, F(1, Q), agents), x, boundary
+
+
+class TestAcceptsAgainstExpectedUtility:
+    """``Instance.accepts`` decides <u_i, x> >= tau_i over integers; the
+    Fraction inner product ``expected_utility`` is its reference."""
+
+    @settings(max_examples=300)
+    @given(grid_cases())
+    def test_matches_reference(self, case):
+        inst, x, boundary = case
+        for i, agent in enumerate(inst.agents, start=1):
+            assert inst.accepts(i, x) == (expected_utility(agent, x) >= agent.threshold)
+        for i in boundary:
+            assert expected_utility(inst.agents[i - 1], x) == inst.agents[i - 1].threshold
+            assert inst.accepts(i, x)
+
+    def test_threshold_one_step_above_the_boundary_rejects(self):
+        inst = Instance(2, F(1, 10), [
+            AgentSpec([F(3, 10), F(7, 10)], F(1, 2)),
+            AgentSpec([F(3, 10), F(7, 10)], F(3, 5)),
+        ])
+        x = Lottery([F(1, 2), F(1, 2)])  # <u, x> = 1/2 exactly
+        assert inst.accepts(1, x) and not inst.accepts(2, x)
+
+    def test_one_alternative(self):
+        inst = Instance(1, F(1, 4), [AgentSpec([F(3, 4)], F(3, 4)), AgentSpec([F(1, 2)], F(3, 4))])
+        assert inst.accepts(1, Lottery([1])) and not inst.accepts(2, Lottery([1]))
+
+    def test_bad_agent_index_and_dimension(self):
+        inst = Instance(2, F(1, 10), [AgentSpec([1, 0], F(1, 2))])
+        for i in (0, -1, 2):
+            with pytest.raises(IndexError):
+                inst.accepts(i, Lottery.pure(1, 2))
+        for m in (1, 3):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                inst.accepts(1, Lottery.pure(1, m))

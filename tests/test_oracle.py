@@ -122,3 +122,11 @@ class TestLedger:
         for _ in range(5):
             o.query(1, Lottery.pure(1, 3), PV)
         assert len(o.ledger.trace) == 2 and o.ledger.total == 5
+        assert o.ledger.trace_dropped == 3
+        assert o.snapshot_ledger().trace_dropped == 3
+
+    def test_nothing_dropped_without_a_trace(self):
+        o = Oracle(example_instance(), trace_cap=2)
+        for _ in range(5):
+            o.query(1, Lottery.pure(1, 3), PV)
+        assert o.ledger.trace_dropped == 0

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unanimity import (
     Advice,
@@ -198,6 +199,29 @@ class TestRandomized:
             solve_randomized(Oracle(inst), seed=0)
 
 
+def scan_weighted_sample(w: WeightVector, r_prime: int, rng: random.Random) -> dict[int, int]:
+    """Reference for ``weighted_sample``: each draw scans the agents in
+    ascending index order for the first whose running count exceeds t."""
+    remaining = dict(sorted(w.weights.items()))
+    total = sum(remaining.values())
+    if r_prime > total:
+        raise ValueError(f"cannot draw {r_prime} copies from a multiset of {total}")
+    counts: dict[int, int] = {}
+    for _ in range(r_prime):
+        t = rng.randrange(total)
+        for i, c in remaining.items():
+            if t < c:
+                counts[i] = counts.get(i, 0) + 1
+                if c == 1:
+                    del remaining[i]
+                else:
+                    remaining[i] = c - 1
+                total -= 1
+                break
+            t -= c
+    return counts
+
+
 class TestWeightedSample:
     def test_exhaustive_sample(self):
         w = WeightVector({1: 1, 2: 1})
@@ -228,11 +252,87 @@ class TestWeightedSample:
         with pytest.raises(ValueError):
             weighted_sample(WeightVector({1: 1}), 2, random.Random(0))
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(st.integers(1, 60),
+                        st.integers(1, 6) | st.integers(1, 2**70), min_size=1, max_size=40),
+        st.integers(0, 200),
+        st.integers(0, 2**32),
+    )
+    def test_matches_running_sum_scan(self, weights, r_prime, seed):
+        w = WeightVector(weights)
+        r_prime = min(r_prime, w.total)
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert weighted_sample(w, r_prime, fast) == scan_weighted_sample(w, r_prime, slow)
+        assert fast.getstate() == slow.getstate()
+
     def test_weight_vector_validation(self):
         with pytest.raises(ValueError):
             WeightVector({1: 0})
         doubled = WeightVector({1: 1, 2: 3}).doubled([2])
         assert doubled.weights == {1: 1, 2: 6}
+
+
+DEGENERATE_KINDS = ("one-alternative", "no-agents", "accept-all", "turning-at-one",
+                    "on-threshold")
+
+
+@st.composite
+def degenerate_instances(draw, kind):
+    """Grid instances at the edges of the model (1/eps <= 12)."""
+    Q = draw(st.integers(2, 12))
+    m = 1 if kind == "one-alternative" else draw(st.integers(1 if kind == "no-agents" else 2, 4))
+    n = 0 if kind == "no-agents" else draw(st.integers(1, 5))
+    agents = []
+    for _ in range(n):
+        t = draw(st.integers(1, Q))
+        if kind == "accept-all":
+            u = [draw(st.integers(t, Q)) for _ in range(m)]
+        elif kind == "turning-at-one":
+            # Accepted vertices sit exactly on the threshold and the others
+            # below it, so every turning point into an accepted vertex is 1.
+            u = [draw(st.integers(0, t - 1) | st.just(t)) for _ in range(m)]
+        elif kind == "on-threshold":
+            u = [draw(st.just(t) | st.integers(0, Q)) for _ in range(m)]
+        else:
+            u = [draw(st.integers(0, Q)) for _ in range(m)]
+        agents.append(AgentSpec([F(a, Q) for a in u], F(t, Q)))
+    return Instance(m, F(1, Q), agents)
+
+
+class TestDegenerateInstances:
+    """Every solver, within its domain (randomized needs n >= 1, m >= 2),
+    agrees with the zero-query ``feasible_full`` and returns a sound answer."""
+
+    @pytest.mark.parametrize("kind", DEGENERATE_KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_solvers_agree_with_feasible_full(self, kind, data):
+        inst = data.draw(degenerate_instances(kind))
+        feasible = feasible_full(inst) is not None
+        for name, run in ALL_SOLVERS:
+            if name == "randomized" and (inst.n < 1 or inst.m < 2):
+                continue
+            report = run(Oracle(inst))
+            assert report.accepted == feasible, name
+            assert_sound(inst, report)
+            report.ledger.check()
+
+    def test_no_agents_accept_the_lex_max_vertex_without_a_query(self):
+        for name, run in ALL_SOLVERS[:2]:
+            report = run(Oracle(Instance(3, F(1, 4), [])))
+            assert report.lottery == Lottery.pure(1, 3) and report.ledger.total == 0
+
+    @pytest.mark.parametrize("name,run", ALL_SOLVERS)
+    def test_turning_point_at_one_pins_a_vertex(self, name, run):
+        # Agent 1 accepts only e_2, where its utility equals its threshold;
+        # agent 2's utility equals its threshold at every lottery.
+        inst = Instance(2, F(1, 4), [
+            AgentSpec([0, F(1, 2)], F(1, 2)),
+            AgentSpec([F(1, 2), F(1, 2)], F(1, 2)),
+        ])
+        report = run(Oracle(inst))
+        assert report.accepted and report.lottery == Lottery.pure(2, 2)
 
 
 def record_count(inst: Instance, order) -> int:
