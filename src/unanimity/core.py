@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -78,8 +78,12 @@ class Lottery:
         return len(self.probs)
 
     @staticmethod
+    @cache
     def pure(j: int, m: int) -> "Lottery":
-        """The lottery placing unit mass on alternative ``j`` (1-based)."""
+        """The lottery placing unit mass on alternative ``j`` (1-based).
+
+        Built once per (j, m) and shared: a Lottery is immutable.
+        """
         if not 1 <= j <= m:
             raise ValueError(f"alternative index {j} out of range 1..{m}")
         return Lottery([ONE if k == j else ZERO for k in range(1, m + 1)])
@@ -135,10 +139,10 @@ class Instance:
         epsilon = Fraction(epsilon)
         if m < 1:
             raise ValueError("need at least one alternative")
-        inv = 1 / epsilon
-        if inv.denominator != 1 or inv < 2:
+        # In lowest terms, 1/epsilon is an integer >= 2 iff epsilon = 1/Q, Q >= 2.
+        if epsilon.numerator != 1 or epsilon.denominator < 2:
             raise ValueError("1/epsilon must be an integer >= 2")
-        Q = inv.numerator
+        Q = epsilon.denominator
         agents = tuple(agents)
         for idx, agent in enumerate(agents, start=1):
             if agent.m != m:

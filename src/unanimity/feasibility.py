@@ -1,29 +1,26 @@
 """Exact feasibility over learned constraints: Select, witnesses, brute force.
 
 Constraints have the normalized form <c, x> >= 1 over the probability
-simplex.  ``select`` returns the lexicographically maximum feasible lottery
-(or None when the rows are infeasible), ``helly_witness`` shrinks an infeasible set to a minimal
-infeasible subset of at most m owners, and ``feasible_full`` answers the
-same question directly from a known instance without any oracle queries.
+simplex.  ``select`` returns the lexicographically maximum feasible lottery,
+or None when the rows are infeasible; ``helly_witness`` shrinks an
+infeasible set to a minimal infeasible subset of at most m owners; and
+``feasible_full`` decides a known instance without any oracle queries.
 
-The LP engine is one exact simplex tableau over ``fractions.Fraction`` per
-``select``: a single phase 1, then one pass per coordinate, each starting
-from the previous optimal basis (lexicographic simplex), with Bland's
-least-index anti-cycling rule.  Problem sizes here are tiny (m
-coordinates plus one surplus per learned agent), so clarity wins over
-sparse-matrix machinery.
+The LP engine is one fraction-free simplex tableau per ``select``: Python
+ints over one positive common denominator, updated by Bareiss pivots with
+no per-entry gcd.  A single phase 1 is followed by one pass per coordinate,
+each from the previous optimal basis (lexicographic simplex), with Bland's
+least-index anti-cycling rule.  Only the returned lottery holds Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from unanimity.core import AgentSpec, Instance, Lottery
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -71,41 +68,41 @@ class HellyWitness:
 # --- exact lexicographic simplex ---------------------------------------------
 
 
-def _pivot(rows, obj, basis, r, c) -> None:
-    piv = rows[r][c]
-    rows[r] = [v / piv for v in rows[r]]
-    for idx in range(len(rows)):
-        if idx != r and rows[idx][c] != 0:
-            f = rows[idx][c]
-            rows[idx] = [a - f * b for a, b in zip(rows[idx], rows[r])]
-    if obj[c] != 0:
-        f = obj[c]
-        obj[:] = [a - f * b for a, b in zip(obj, rows[r])]
+def _pivot(rows, obj, basis, d, r, c) -> int:
+    """Bareiss pivot on (r, c) of the tableau ``rows/d``; returns the new d.
+    Exact by Sylvester's identity; a negative pivot row is negated first."""
+    if rows[r][c] < 0:
+        rows[r] = [-v for v in rows[r]]
+    prow = rows[r]
+    p = prow[c]
+    for row in rows + [obj]:
+        if row is not prow:
+            f = row[c]
+            row[:] = [(a * p - f * b) // d for a, b in zip(row, prow)]
     basis[r] = c
+    return p
 
 
-def _simplex_max(rows, obj, basis, allowed) -> None:
-    """Pivot to optimality, entering only columns in ``allowed`` (ascending).
-
-    Bland's rule: least-index entering column, least-index leaving basic
-    variable on ratio ties.  Every LP here lives inside the simplex, so an
-    unbounded ray is a bug.
+def _simplex_max(rows, obj, basis, d, allowed) -> int:
+    """Pivot to optimality, entering only columns in ``allowed`` (ascending),
+    and return the final d.  Bland's rule: least-index entering column,
+    least-index leaving basic variable on ratio ties.  Every LP here lives
+    inside the simplex, so an unbounded ray is a bug.
     """
     while True:
         enter = next((j for j in allowed if obj[j] > 0), None)
         if enter is None:
-            return
-        leave = None
-        best = None
-        for r in range(len(rows)):
-            coef = rows[r][enter]
-            if coef > 0:
-                ratio = rows[r][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    best, leave = ratio, r
-        if leave is None:
+            return d
+        candidates = [r for r, row in enumerate(rows) if row[enter] > 0]
+        if not candidates:
             raise ArithmeticError("objective unbounded on a subset of the simplex")
-        _pivot(rows, obj, basis, leave, enter)
+        leave = candidates[0]
+        for r in candidates[1:]:
+            # Ratios rhs/coef compared by cross-multiplying; both coefs > 0.
+            cross = rows[r][-1] * rows[leave][enter] - rows[leave][-1] * rows[r][enter]
+            if cross < 0 or (cross == 0 and basis[r] < basis[leave]):
+                leave = r
+        d = _pivot(rows, obj, basis, d, leave, enter)
 
 
 # --- public operations -------------------------------------------------------
@@ -123,40 +120,43 @@ def select(C: ConstraintSet) -> Optional[Lottery]:
     """
     m, k = C.m, len(C.rows)
     nvars = m + k
-    rows = [[ONE] * m + [ZERO] * k + [ONE]]
+    # Integer tableau rows/d: each row scaled once by its lcm of denominators.
+    rows = [[1] * m + [0] * k + [1]]
     for idx, (_, coeffs) in enumerate(C.rows):
-        rows.append(list(coeffs) + [-ONE if s == idx else ZERO for s in range(k)] + [ONE])
+        L = math.lcm(*(c.denominator for c in coeffs))
+        rows.append([c.numerator * (L // c.denominator) for c in coeffs]
+                    + [-L if s == idx else 0 for s in range(k)] + [L])
 
     # Phase 1: row r starts on an artificial variable, marked nvars + r in
     # the basis.  Artificials never re-enter, so they need no columns; the
     # reduced costs of min sum(artificials) are the column sums.
     basis = [nvars + r for r in range(len(rows))]
     obj = [sum(col) for col in zip(*rows)]
-    _simplex_max(rows, obj, basis, range(nvars))
+    d = _simplex_max(rows, obj, basis, 1, range(nvars))
     if any(b >= nvars and rows[r][-1] != 0 for r, b in enumerate(basis)):
         return None
-    # Pivot zero-valued artificials out; a row with no real entry is redundant.
-    for r in reversed(range(len(rows))):
+    # Pivot zero-valued artificials out.  A row with no real entry is
+    # redundant: it stays zero on every real column and never leaves.
+    for r in range(len(rows)):
         if basis[r] >= nvars:
             enter = next((j for j in range(nvars) if rows[r][j] != 0), None)
-            if enter is None:
-                del rows[r], basis[r]
-            else:
-                _pivot(rows, obj, basis, r, enter)
+            if enter is not None:
+                d = _pivot(rows, obj, basis, d, r, enter)
 
     allowed = list(range(nvars))
     for j in range(m - 1):
-        obj = [ZERO] * (nvars + 1)
-        obj[j] = ONE
+        # Reduced costs of max x_j, scaled by d like the rows.
+        obj = [0] * (nvars + 1)
+        obj[j] = d
         if j in basis:
             obj = [a - v for a, v in zip(obj, rows[basis.index(j)])]
-        _simplex_max(rows, obj, basis, allowed)
+        d = _simplex_max(rows, obj, basis, d, allowed)
         allowed = [c for c in allowed if obj[c] == 0]
 
-    x = [ZERO] * m
+    x = [0] * m
     for r, b in enumerate(basis):
         if b < m:
-            x[b] = rows[r][-1]
+            x[b] = Fraction(rows[r][-1], d)
     return Lottery(x)
 
 

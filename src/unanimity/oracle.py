@@ -24,6 +24,10 @@ class QueryCategory(enum.Enum):
     VERIFICATION = "Verification"
     ADVICE_CHECK = "AdviceCheck"
 
+    # Members are singletons, so identity hashing is exact; Enum's own
+    # __hash__ is Python code, paid twice per recorded query.
+    __hash__ = object.__hash__
+
 
 @dataclass
 class QueryLedger:

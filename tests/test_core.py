@@ -99,6 +99,11 @@ class TestAgentAndInstance:
         with pytest.raises(ValueError):
             Instance(2, 1, [])  # eps must be <= 1/2
 
+    @pytest.mark.parametrize("eps", [0, "0", F(0), F(-1, 2), "-1/3"])
+    def test_instance_nonpositive_epsilon_rejected(self, eps):
+        with pytest.raises(ValueError, match="1/epsilon must be an integer >= 2"):
+            Instance(2, eps, [])
+
     def test_edge_point_validation(self):
         with pytest.raises(ValueError):
             EdgePoint(1, 1, F(1, 2))

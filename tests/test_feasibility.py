@@ -166,22 +166,27 @@ class TestFeasibleFull:
         assert feasible_full(self.example_instance()) is not None
 
 
-COEFF = st.integers(-8, 12).map(lambda a: F(a, 4))
+QUARTERS = st.integers(-8, 12).map(lambda a: F(a, 4))
+# Denominators up to 10**9 make the integer tableau's entries run far past a
+# machine word; quarters keep ties and degenerate vertices likely.
+WIDE = st.one_of(QUARTERS, st.fractions(-2, 3, max_denominator=10**9))
 
 
 @st.composite
-def constraint_sets(draw):
+def constraint_sets(draw, max_m=5, max_rows=7, coeff=QUARTERS):
     """Rows mixing the degenerate shapes a lexicographic simplex trips on:
     all-ones rows (tight on the whole simplex), duplicates, rows through a
     simplex vertex, and several rows through one shared lottery p, which
-    makes p a degenerate vertex of the feasible region."""
-    m = draw(st.integers(1, 5))
+    makes p a degenerate vertex of the feasible region.  Duplicate and
+    all-ones rows leave zero-valued artificials after phase 1, and pivoting
+    those out often takes a negative pivot."""
+    m = draw(st.integers(1, max_m))
     parts = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
     p = [F(a, sum(parts)) for a in parts]
     rows = []
-    for owner in range(1, draw(st.integers(0, 7)) + 1):
+    for owner in range(1, draw(st.integers(0, max_rows)) + 1):
         kind = draw(st.sampled_from(["random", "ones", "duplicate", "vertex", "through_p"]))
-        coeffs = draw(st.lists(COEFF, min_size=m, max_size=m))
+        coeffs = draw(st.lists(coeff, min_size=m, max_size=m))
         if kind == "ones":
             coeffs = [F(1)] * m
         elif kind == "duplicate" and rows:
@@ -194,6 +199,31 @@ def constraint_sets(draw):
         if any(coeffs):
             rows.append((owner, coeffs))
     return ConstraintSet(m, rows)
+
+
+def pinned_rows(seed: int, m: int, k: int, gap: F = F(0)) -> ConstraintSet:
+    """k > m rows: x_j >= p_j + gap for every j of a lottery p with
+    denominators near 10**9, an all-ones row, and random rows through p.
+    With gap 0 the feasible set is {p}, so phase 1 ends with zero-valued
+    artificials whose rows need negative pivots to leave; with gap > 0 it
+    is empty."""
+    rng = random.Random(seed)
+    parts = [rng.randint(1, 10**9) for _ in range(m)]
+    p = [F(a, sum(parts)) for a in parts]
+    rows = [(j + 1, [1 / (p[j] + gap) if i == j else 0 for i in range(m)]) for j in range(m)]
+    rows.append((m + 1, [1] * m))
+    for owner in range(m + 2, k + 1):
+        c = [F(rng.randint(-2 * 10**9, 3 * 10**9), rng.randint(1, 10**9)) for _ in range(m)]
+        dot = sum(a * b for a, b in zip(c, p))
+        rows.append((owner, [a / dot for a in c] if dot else [1] * m))
+    return ConstraintSet(m, rows)
+
+
+def assert_matches_reference(C: ConstraintSet) -> None:
+    x = select(C)
+    assert x == select_reference(C)
+    if x is None:
+        assert helly_witness(C).agents == helly_witness_reference(C)
 
 
 class TestAgainstReference:
@@ -212,7 +242,13 @@ class TestAgainstReference:
     @example(ConstraintSet(3, [(1, [1, 0, 0]), (2, [1, -1, 2]), (3, [1, 3, -1]),
                                (4, [0, F(5, 3), 0])]))
     def test_select_and_witness_match_reference(self, C):
-        x = select(C)
-        assert x == select_reference(C)
-        if x is None:
-            assert helly_witness(C).agents == helly_witness_reference(C)
+        assert_matches_reference(C)
+
+    @settings(max_examples=100, deadline=None)
+    @given(constraint_sets(max_m=6, max_rows=12, coeff=WIDE))
+    @example(pinned_rows(1, 3, 5))
+    @example(pinned_rows(2, 6, 12))
+    @example(pinned_rows(3, 6, 12, gap=F(1, 10**9)))
+    @example(pinned_rows(4, 4, 9, gap=F(1, 10**9 + 7)))
+    def test_wide_rows_match_reference(self, C):
+        assert_matches_reference(C)
