@@ -23,7 +23,6 @@ anywhere in the decision path.
 
 from unanimity.core import (
     AgentSpec,
-    EdgePoint,
     Instance,
     Lottery,
     edge_lottery,
@@ -34,8 +33,6 @@ from unanimity.core import (
 )
 from unanimity.oracle import Oracle, QueryCategory, QueryLedger
 from unanimity.geometry import (
-    LearnedHalfspace,
-    ProjectionError,
     exact_threshold,
     exact_threshold_pred,
     learn_hyperplane,
@@ -70,15 +67,12 @@ __all__ = [
     "AgentSpec",
     "Advice",
     "ConstraintSet",
-    "EdgePoint",
     "GeneratorSpec",
     "GroundTruth",
     "HellyWitness",
     "Instance",
-    "LearnedHalfspace",
     "Lottery",
     "Oracle",
-    "ProjectionError",
     "QueryCategory",
     "QueryLedger",
     "SolveReport",

@@ -118,13 +118,13 @@ def _load_advice(perm_path, lottery_path) -> Advice:
 
 
 def _run_solver(inst: Instance, solver: str, advice: Advice, seed: int,
-                capture_trace: bool = False):
+                capture_trace: bool = False) -> SolveReport:
     o = Oracle(inst, capture_trace=capture_trace)
     if solver == "baseline":
-        return solve_baseline(o), o
+        return solve_baseline(o)
     if solver == "deterministic":
-        return solve_deterministic(o, advice), o
-    return solve_randomized(o, advice, seed=seed), o
+        return solve_deterministic(o, advice)
+    return solve_randomized(o, advice, seed=seed)
 
 
 def _cmd_gen(args) -> int:
@@ -153,8 +153,8 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     advice = _load_advice(args.advice_perm, args.advice_lottery)
-    report, oracle = _run_solver(inst, args.solver, advice, args.seed,
-                                 capture_trace=bool(args.trace))
+    report = _run_solver(inst, args.solver, advice, args.seed,
+                         capture_trace=bool(args.trace))
     doc = report.to_json_dict()
     text = json.dumps(doc, indent=2) + "\n"
     if args.out:
@@ -164,8 +164,8 @@ def _cmd_solve(args) -> int:
         sys.stdout.write(text)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8", newline="") as fh:
-            oracle.ledger.write_trace_csv(fh)
-        ledger = oracle.ledger
+            report.ledger.write_trace_csv(fh)
+        ledger = report.ledger
         if ledger.trace_dropped:
             sys.stderr.write(
                 f"unanimity: warning: trace {args.trace} holds the first "
@@ -268,7 +268,7 @@ def _cmd_bench(args) -> int:
             seeds = range(args.seeds) if solver == "randomized" else [0]
             for seed in seeds:
                 start = time.perf_counter()
-                report, _ = _run_solver(inst, solver, advice, seed)
+                report = _run_solver(inst, solver, advice, seed)
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 rows.append(_bench_row(path, inst, solver, advice, seed, report, wall_ms))
     rows.sort(key=lambda r: (r[0], r[4], r[6]))

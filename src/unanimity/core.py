@@ -1,4 +1,4 @@
-"""Exact rational primitives: lotteries, agents, instances, edge points.
+"""Exact rational primitives: lotteries, agents, instances, simplex edges.
 
 Every quantity in the model is a rational number; ``fractions.Fraction``
 (arbitrary-precision, always stored reduced with a positive denominator)
@@ -201,29 +201,6 @@ class Instance:
         return sum(map(mul, U, P)) >= T * D
 
 
-@dataclass(frozen=True)
-class EdgePoint:
-    """A point on the simplex edge from rejected vertex k to accepted k'.
-
-    Denotes the lottery with mass ``alpha`` on k' and ``1 - alpha`` on k.
-    Indices are 1-based.
-    """
-
-    k: int
-    kprime: int
-    alpha: Fraction
-
-    def __init__(self, k: int, kprime: int, alpha) -> None:
-        alpha = Fraction(alpha)
-        if k == kprime:
-            raise ValueError("edge endpoints must be distinct")
-        if not (ZERO <= alpha <= ONE):
-            raise ValueError("alpha must lie in [0, 1]")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "kprime", kprime)
-        object.__setattr__(self, "alpha", alpha)
-
-
 def expected_utility(agent: AgentSpec, x: Lottery) -> Fraction:
     """Exact inner product of the agent's utilities with the lottery."""
     if agent.m != x.m:
@@ -231,13 +208,17 @@ def expected_utility(agent: AgentSpec, x: Lottery) -> Fraction:
     return sum((u * p for u, p in zip(agent.utilities, x.probs)), ZERO)
 
 
-def edge_lottery(p: EdgePoint, m: int) -> Lottery:
-    """Materialize an edge point as a full lottery over m alternatives."""
-    if not (1 <= p.k <= m and 1 <= p.kprime <= m):
+def edge_lottery(k: int, kprime: int, alpha, m: int) -> Lottery:
+    """The lottery with mass ``alpha`` on k' and ``1 - alpha`` on k, the
+    point of the simplex edge from vertex k to vertex k' (1-based) over m
+    alternatives; ``Lottery`` rejects an alpha outside [0, 1]."""
+    if k == kprime:
+        raise ValueError("edge endpoints must be distinct")
+    if not (1 <= k <= m and 1 <= kprime <= m):
         raise ValueError("edge endpoints out of range")
     probs = [ZERO] * m
-    probs[p.k - 1] = ONE - p.alpha
-    probs[p.kprime - 1] = p.alpha
+    probs[k - 1] = ONE - alpha
+    probs[kprime - 1] = alpha
     return Lottery(probs)
 
 

@@ -120,12 +120,14 @@ def select(C: ConstraintSet) -> Optional[Lottery]:
     """
     m, k = C.m, len(C.rows)
     nvars = m + k
-    # Integer tableau rows/d: each row scaled once by its lcm of denominators.
+    # Integer tableau rows/d: each row scaled once by its lcm L of
+    # denominators.  Its surplus column stays -1 (the surplus is L s_i):
+    # scaling a column by L > 0 keeps the pivot path and keeps L out of d.
     rows = [[1] * m + [0] * k + [1]]
     for idx, (_, coeffs) in enumerate(C.rows):
         L = math.lcm(*(c.denominator for c in coeffs))
         rows.append([c.numerator * (L // c.denominator) for c in coeffs]
-                    + [-L if s == idx else 0 for s in range(k)] + [L])
+                    + [-1 if s == idx else 0 for s in range(k)] + [L])
 
     # Phase 1: row r starts on an artificial variable, marked nvars + r in
     # the basis.  Artificials never re-enter, so they need no columns; the

@@ -10,78 +10,29 @@ continued-fraction best approximation of the bracket's midpoint
 (``Fraction.limit_denominator``), O(log 1/epsilon) steps.
 
 ``learn_hyperplane`` stitches m - 1 turning points into a normalized
-coefficient vector c with acceptance test <c, x> >= 1, or reports the
-degenerate AcceptAll / RejectAll outcomes.  A warm-start lottery, when
+coefficient row c with acceptance test <c, x> >= 1.  The degenerate
+outcomes keep the same form: None for AcceptAll (no constraint), the
+all-zero row for RejectAll (no lottery passes).  A warm-start lottery, when
 supplied, seeds every turning-point search with its pairwise projection
 onto the edge.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from unanimity.core import (
-    EdgePoint,
-    Lottery,
-    edge_lottery,
-    pairwise_projection,
-)
+from unanimity.core import Lottery, edge_lottery, pairwise_projection
 from unanimity.oracle import Oracle, QueryCategory
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-HALF = Fraction(1, 2)
-
-
-class HalfspaceKind(enum.Enum):
-    ACCEPT_ALL = "AcceptAll"
-    REJECT_ALL = "RejectAll"
-    COEFFS = "Coeffs"
-
-
-@dataclass(frozen=True)
-class LearnedHalfspace:
-    """Outcome of eliciting one agent: trivial verdict or coefficients."""
-
-    kind: HalfspaceKind
-    coeffs: Optional[tuple[Fraction, ...]] = None
-
-    def accepts(self, x: Lottery) -> bool:
-        if self.kind is HalfspaceKind.ACCEPT_ALL:
-            return True
-        if self.kind is HalfspaceKind.REJECT_ALL:
-            return False
-        assert self.coeffs is not None
-        return sum((c * p for c, p in zip(self.coeffs, x.probs)), ZERO) >= ONE
-
-    @staticmethod
-    def accept_all() -> "LearnedHalfspace":
-        return LearnedHalfspace(HalfspaceKind.ACCEPT_ALL)
-
-    @staticmethod
-    def reject_all() -> "LearnedHalfspace":
-        return LearnedHalfspace(HalfspaceKind.REJECT_ALL)
-
-    @staticmethod
-    def from_coeffs(coeffs) -> "LearnedHalfspace":
-        return LearnedHalfspace(HalfspaceKind.COEFFS, tuple(Fraction(c) for c in coeffs))
-
-
-@dataclass(frozen=True)
-class ProjectionError:
-    """Per-edge distance between a warm start and the true turning point."""
-
-    per_edge: dict[tuple[int, int], Fraction]
-    max: Fraction
 
 
 def bisection_budget(inv_epsilon: int) -> int:
-    """Max ThresholdSearch queries per turning point: ceil(log2(2/eps^2))."""
-    return math.ceil(math.log2(2 * inv_epsilon * inv_epsilon))
+    """Max ThresholdSearch queries per turning point: ceil(log2(2/eps^2)),
+    in integers: ceil(log2 N) is the bit length of N - 1."""
+    return (2 * inv_epsilon * inv_epsilon - 1).bit_length()
 
 
 def rational_reconstruct(lower: Fraction, upper: Fraction, Q: int) -> Fraction:
@@ -103,7 +54,7 @@ def rational_reconstruct(lower: Fraction, upper: Fraction, Q: int) -> Fraction:
 
 
 def _edge_query(o: Oracle, i: int, k: int, kprime: int, alpha: Fraction) -> bool:
-    x = edge_lottery(EdgePoint(k, kprime, alpha), o.m)
+    x = edge_lottery(k, kprime, alpha, o.m)
     return o.query(i, x, QueryCategory.THRESHOLD_SEARCH)
 
 
@@ -169,8 +120,12 @@ def exact_threshold_pred(
 
 def learn_hyperplane(
     o: Oracle, i: int, warm: Optional[Lottery] = None
-) -> tuple[LearnedHalfspace, Optional[ProjectionError]]:
+) -> Optional[tuple[Fraction, ...]]:
     """Elicit agent i's acceptable halfspace with membership queries only.
+
+    Returns the normalized row c with acceptance test <c, x> >= 1; None
+    when the agent accepts every pure lottery (AcceptAll), and the all-zero
+    row, which no lottery satisfies, when it rejects every one (RejectAll).
 
     Queries all m pure lotteries first (PureVertex), then locates m - 1
     turning points: one per accepted vertex from a fixed rejected pivot r,
@@ -179,8 +134,7 @@ def learn_hyperplane(
     Pivots are the smallest admissible indices, for deterministic traces.
 
     With ``warm`` given, every turning-point search is seeded with the
-    warm lottery's pairwise projection onto the edge and the realized
-    per-edge projection errors are reported.
+    warm lottery's pairwise projection onto the edge.
     """
     m = o.m
     accepted: list[int] = []
@@ -192,19 +146,14 @@ def learn_hyperplane(
             rejected.append(j)
 
     if not rejected:
-        return LearnedHalfspace.accept_all(), None
+        return None
     if not accepted:
-        return LearnedHalfspace.reject_all(), None
-
-    per_edge: dict[tuple[int, int], Fraction] = {}
+        return (ZERO,) * m
 
     def turning(k: int, kprime: int) -> Fraction:
         if warm is None:
             return exact_threshold(o, i, k, kprime)
-        hat = pairwise_projection(warm, k, kprime)
-        alpha = exact_threshold_pred(o, i, k, kprime, hat)
-        per_edge[(k, kprime)] = abs(hat - alpha)
-        return alpha
+        return exact_threshold_pred(o, i, k, kprime, pairwise_projection(warm, k, kprime))
 
     r = rejected[0]
     alpha_r = {j: turning(r, j) for j in accepted}
@@ -225,9 +174,4 @@ def learn_hyperplane(
                 continue
             alpha_ka = turning(k, a)
             coeffs[k - 1] = (1 - alpha_ka * c_a) / (1 - alpha_ka)
-
-    halfspace = LearnedHalfspace.from_coeffs(coeffs)
-    if warm is None:
-        return halfspace, None
-    err_max = max(per_edge.values(), default=ZERO)
-    return halfspace, ProjectionError(per_edge=per_edge, max=err_max)
+    return tuple(coeffs)

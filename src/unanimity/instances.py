@@ -243,8 +243,13 @@ def generate(spec: GeneratorSpec) -> tuple[Instance, GroundTruth, Optional[Advic
 
     Returns (instance, ground truth, advice) where advice is None unless
     the family prescribes a hint (near-threshold).  Randomized families
-    read an integer ``seed`` parameter (default 0).
+    read an integer ``seed`` parameter (default 0).  An ``inv_epsilon``
+    parameter must be an integer >= 2.
     """
+    Q = spec.params.get("inv_epsilon")
+    # bool is an int subclass; True must not pass for 1/epsilon = 1.
+    if Q is not None and not (type(Q) is int and Q >= 2):
+        raise ValueError("1/epsilon must be an integer >= 2")
     rng = random.Random(spec.params.get("seed", 0))
     return _GENERATORS[spec.family](spec.params, rng)
 

@@ -50,15 +50,6 @@ class QueryLedger:
         if self.trace is not None and len(self.trace) < self.trace_cap:
             self.trace.append((agent, cat, x, answer))
 
-    def copy(self) -> "QueryLedger":
-        return QueryLedger(
-            total=self.total,
-            per_agent=dict(self.per_agent),
-            per_category=dict(self.per_category),
-            trace=None if self.trace is None else list(self.trace),
-            trace_cap=self.trace_cap,
-        )
-
     @property
     def trace_dropped(self) -> int:
         """Queries past ``trace_cap`` that the trace did not keep."""
@@ -85,7 +76,8 @@ class QueryLedger:
 class Oracle:
     """Counting accept/reject oracle over a hidden instance.
 
-    One oracle is owned by exactly one solver run.  The hidden instance is
+    One oracle is owned by exactly one solver run, whose report keeps the
+    oracle's ledger itself.  The hidden instance is
     deliberately not part of the solver-facing API; solvers receive only
     ``n``, ``m``, ``epsilon``, and yes/no answers.
     """
@@ -123,6 +115,3 @@ class Oracle:
         answer = self._hidden.accepts(i, x)
         self.ledger.record(i, cat, x, answer)
         return answer
-
-    def snapshot_ledger(self) -> QueryLedger:
-        return self.ledger.copy()

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Optional
 
@@ -33,7 +32,7 @@ from unanimity.feasibility import (
     helly_witness,
     select,
 )
-from unanimity.geometry import HalfspaceKind, LearnedHalfspace, learn_hyperplane
+from unanimity.geometry import learn_hyperplane
 from unanimity.oracle import Oracle, QueryCategory, QueryLedger
 
 RNG_ALGORITHM = "mt19937"
@@ -137,13 +136,13 @@ class SolveReport:
 
 def _report(o: Oracle, learned, iterations, lottery=None, witness=None,
             reject_all=None, seed=None) -> SolveReport:
-    """Snapshot a finished run: Accepted when ``lottery`` is given, else Null."""
+    """Report a finished run: Accepted when ``lottery`` is given, else Null."""
     return SolveReport(
         accepted=lottery is not None,
         lottery=lottery,
         witness=witness,
         reject_all_agent=reject_all,
-        ledger=o.snapshot_ledger(),
+        ledger=o.ledger,
         learned_agents=frozenset(learned),
         record_count=len(learned),
         iterations=iterations,
@@ -152,16 +151,10 @@ def _report(o: Oracle, learned, iterations, lottery=None, witness=None,
     )
 
 
-def _rows(learned: dict[int, LearnedHalfspace], restrict=None) -> list:
-    """Constraint rows of learned agents; AcceptAll agents contribute none."""
-    rows = []
-    for i in sorted(learned):
-        if restrict is not None and i not in restrict:
-            continue
-        hs = learned[i]
-        if hs.kind is HalfspaceKind.COEFFS:
-            rows.append((i, hs.coeffs))
-    return rows
+def _rows(learned: dict[int, Optional[tuple]], restrict=None) -> list:
+    """Constraint rows of learned agents; AcceptAll agents (None) give none."""
+    return [(i, learned[i]) for i in sorted(learned)
+            if learned[i] is not None and (restrict is None or i in restrict)]
 
 
 def _check_hint(o: Oracle, x_hat: Lottery) -> bool:
@@ -179,11 +172,10 @@ def solve_baseline(o: Oracle) -> SolveReport:
     Queries grow linearly in n regardless of instance structure; this is
     the reference point the adaptive solvers are measured against.
     """
-    learned: dict[int, LearnedHalfspace] = {}
+    learned: dict[int, Optional[tuple]] = {}
     for i in range(1, o.n + 1):
-        hs, _ = learn_hyperplane(o, i)
-        learned[i] = hs
-        if hs.kind is HalfspaceKind.REJECT_ALL:
+        row = learned[i] = learn_hyperplane(o, i)
+        if row is not None and not any(row):
             return _report(o, learned, 0, reject_all=i)
     C = ConstraintSet(o.m, _rows(learned))
     x = select(C)
@@ -206,7 +198,7 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
     if len(order) != n:
         raise ValueError(f"order covers {len(order)} agents, instance has {n}")
     warm = advice.x_hat
-    learned: dict[int, LearnedHalfspace] = {}
+    learned: dict[int, Optional[tuple]] = {}
     iterations = 0
 
     if warm is not None:
@@ -228,9 +220,8 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
                 break
         if violator is None:
             return _report(o, learned, iterations, lottery=x)
-        hs, _ = learn_hyperplane(o, violator, warm=warm)
-        learned[violator] = hs
-        if hs.kind is HalfspaceKind.REJECT_ALL:
+        row = learned[violator] = learn_hyperplane(o, violator, warm=warm)
+        if row is not None and not any(row):
             return _report(o, learned, iterations, reject_all=violator)
 
 
@@ -301,7 +292,7 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
     else:
         weights = WeightVector({i: 1 for i in range(1, n + 1)})
     warm = advice.x_hat
-    learned: dict[int, LearnedHalfspace] = {}
+    learned: dict[int, Optional[tuple]] = {}
     iterations = 0
 
     if warm is not None:
@@ -314,9 +305,8 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         sampled = weighted_sample(weights, r_prime, rng)
         for i in sorted(sampled):
             if i not in learned:
-                hs, _ = learn_hyperplane(o, i, warm=warm)
-                learned[i] = hs
-                if hs.kind is HalfspaceKind.REJECT_ALL:
+                row = learned[i] = learn_hyperplane(o, i, warm=warm)
+                if row is not None and not any(row):
                     return _report(o, learned, iterations, reject_all=i, seed=seed)
         C = ConstraintSet(o.m, _rows(learned, restrict=set(sampled)))
         x = select(C)

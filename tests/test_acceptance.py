@@ -203,10 +203,12 @@ def test_criterion_7_perfect_lottery_advice():
     ]
     for agent in agents:
         inst = Instance(3, F(1, 10), [agent])
+        accepted = [j for j in (1, 2, 3) if agent.utilities[j - 1] >= agent.threshold]
+        ok &= all(exact_threshold(Oracle(inst), 1, k, kp) == F(1, 2)
+                  for k in (1, 2, 3) if k not in accepted for kp in accepted)
         o = Oracle(inst)
-        hs, err = learn_hyperplane(o, 1, warm=uniform3)
-        ok &= err.max == 0
-        ok &= not hs.accepts(uniform3)
+        row = learn_hyperplane(o, 1, warm=uniform3)
+        ok &= sum(c * p for c, p in zip(row, uniform3.probs)) < 1
         ok &= o.ledger.total <= 3 + 4 * 2
     elapsed = time.time() - start
     report(7, ok, "perfect hints finish in exactly n queries on 50 instances; "

@@ -55,6 +55,22 @@ class TestGen:
                     "--out", tmp_path / "bad.json"])
         assert code >= 64
 
+    @pytest.mark.parametrize("inv_eps", [0, 1, -4])
+    @pytest.mark.parametrize("family, params", [
+        ("random-feasible", ["--n", 3, "--m", 2]),
+        ("random-infeasible", ["--n", 3, "--m", 2]),
+        ("grid-singleton", ["--m", 2]),
+        ("point-mass", ["--m", 3, "--j", 1]),
+        ("dummy-padded", ["--n", 3, "--m", 2]),
+        ("near-threshold", ["--delta", "1/25", "--t", 0]),
+    ])
+    def test_bad_inv_eps_exits_usage(self, tmp_path, capsys, family, params, inv_eps):
+        path = tmp_path / "bad.instance.json"
+        assert run(["gen", family, *params, "--inv-eps", inv_eps, "--out", path]) == 64
+        err = capsys.readouterr().err
+        assert "1/epsilon must be an integer >= 2" in err and "Traceback" not in err
+        assert not path.exists()
+
     def test_unknown_family_exits_usage(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["gen", "no-such-family", "--out", tmp_path / "x.json"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from unanimity import (
     AgentSpec,
-    EdgePoint,
     Instance,
     Lottery,
     edge_lottery,
@@ -104,12 +103,6 @@ class TestAgentAndInstance:
         with pytest.raises(ValueError, match="1/epsilon must be an integer >= 2"):
             Instance(2, eps, [])
 
-    def test_edge_point_validation(self):
-        with pytest.raises(ValueError):
-            EdgePoint(1, 1, F(1, 2))
-        with pytest.raises(ValueError):
-            EdgePoint(1, 2, F(3, 2))
-
 
 class TestExpectedUtility:
     def test_worked_example_agent1(self):
@@ -141,18 +134,29 @@ class TestExpectedUtility:
 
 
 class TestEdgeLottery:
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            edge_lottery(1, 1, F(1, 2), 2)
+        with pytest.raises(ValueError):
+            edge_lottery(1, 2, F(3, 2), 2)
+        with pytest.raises(ValueError):
+            edge_lottery(1, 2, F(-1, 2), 2)
+        for k, kprime in ((0, 2), (1, 3)):
+            with pytest.raises(ValueError):
+                edge_lottery(k, kprime, F(1, 2), 2)
+
     def test_midpoint(self):
-        assert edge_lottery(EdgePoint(3, 1, F(1, 2)), 3).probs == (F(1, 2), 0, F(1, 2))
+        assert edge_lottery(3, 1, F(1, 2), 3).probs == (F(1, 2), 0, F(1, 2))
 
     def test_endpoint(self):
-        assert edge_lottery(EdgePoint(1, 2, 0), 2) == Lottery.pure(1, 2)
+        assert edge_lottery(1, 2, 0, 2) == Lottery.pure(1, 2)
 
     def test_direct_substitution(self):
-        assert edge_lottery(EdgePoint(1, 2, F(3, 5)), 2).probs == (F(2, 5), F(3, 5))
+        assert edge_lottery(1, 2, F(3, 5), 2).probs == (F(2, 5), F(3, 5))
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=40))
     def test_always_a_valid_lottery(self, alpha):
-        x = edge_lottery(EdgePoint(2, 4, alpha), 5)
+        x = edge_lottery(2, 4, alpha, 5)
         assert sum(x.probs) == 1 and all(p >= 0 for p in x.probs)
 
 
@@ -169,7 +173,7 @@ class TestPairwiseProjection:
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=40))
     def test_round_trip_with_edge_lottery(self, alpha):
-        x = edge_lottery(EdgePoint(1, 3, alpha), 4)
+        x = edge_lottery(1, 3, alpha, 4)
         assert pairwise_projection(x, 1, 3) == alpha
 
 

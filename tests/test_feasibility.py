@@ -252,3 +252,29 @@ class TestAgainstReference:
     @example(pinned_rows(4, 4, 9, gap=F(1, 10**9 + 7)))
     def test_wide_rows_match_reference(self, C):
         assert_matches_reference(C)
+
+
+class TestLargePinnedSets:
+    """40+ rows with 9-digit denominators, where the Bareiss denominator d
+    would grow with every basic surplus column.  Checked against the
+    construction instead of the reference LP, which takes seconds per set."""
+
+    @pytest.mark.parametrize("seed, m, k", [(5, 6, 40), (7, 4, 44), (8, 3, 40)])
+    def test_select_returns_the_planted_point(self, seed, m, k):
+        C = pinned_rows(seed, m, k)
+        # Row j + 1 is x_j >= p_j, so its only nonzero coefficient is 1/p_j.
+        p = [1 / C.rows[j][1][j] for j in range(m)]
+        assert select(C) == Lottery(p)
+
+    @pytest.mark.parametrize("seed, m, k, gap", [
+        (6, 6, 48, F(1, 10**9)),
+        (9, 4, 40, F(1, 10**9 + 7)),
+    ])
+    def test_empty_set_has_a_minimal_witness(self, seed, m, k, gap):
+        C = pinned_rows(seed, m, k, gap)
+        assert select(C) is None
+        w = helly_witness(C).agents
+        assert len(w) <= m
+        assert select(C.restrict(w)) is None
+        for drop in w:
+            assert select(C.restrict(w - {drop})) is not None

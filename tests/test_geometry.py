@@ -17,6 +17,7 @@ from unanimity import (
     exact_threshold,
     exact_threshold_pred,
     expected_utility,
+    edge_lottery,
     generate,
     learn_hyperplane,
     pairwise_projection,
@@ -24,7 +25,8 @@ from unanimity import (
     solve_baseline,
     solve_deterministic,
 )
-from unanimity.geometry import HalfspaceKind, bisection_budget
+from unanimity.feasibility import normalized_row
+from unanimity.geometry import bisection_budget
 
 TS = QueryCategory.THRESHOLD_SEARCH
 
@@ -48,6 +50,12 @@ def random_instance(rng, n, m, Q) -> Instance:
 def closed_form(agent, k, kprime) -> F:
     u_k, u_kp = agent.utilities[k - 1], agent.utilities[kprime - 1]
     return (agent.threshold - u_k) / (u_kp - u_k)
+
+
+def row_accepts(row, x: Lottery) -> bool:
+    """Reference acceptance test of a learned row <c, x> >= 1; None (an
+    AcceptAll agent) accepts everything, the zero row nothing."""
+    return row is None or sum(c * p for c, p in zip(row, x.probs)) >= 1
 
 
 def rejected_accepted_pairs(agent):
@@ -160,6 +168,12 @@ class TestExactThreshold:
         assert bisection_budget(10) == 8
         assert bisection_budget(4) == 5
 
+    def test_budget_matches_float_formula(self):
+        # The integer form against the float formula it replaced; 2Q^2 is an
+        # exact power of two whenever Q is one.
+        for Q in [*range(2, 5001), 10**9]:
+            assert bisection_budget(Q) == math.ceil(math.log2(2 * Q * Q)), Q
+
 
 class TestExactThresholdPred:
     def test_matches_plain_search_for_assorted_hints(self):
@@ -222,13 +236,11 @@ def sample_lotteries(m, count=200, seed=5):
 class TestLearnHyperplane:
     def test_worked_example_agent1(self):
         o = Oracle(example_instance())
-        hs, err = learn_hyperplane(o, 1)
-        assert hs.coeffs == (2, 1, 0) and err is None
+        assert learn_hyperplane(o, 1) == (2, 1, 0)
 
     def test_worked_example_agent3(self):
         o = Oracle(example_instance())
-        hs, _ = learn_hyperplane(o, 3)
-        assert hs.coeffs == (0, 0, 8)
+        assert learn_hyperplane(o, 3) == (0, 0, 8)
 
     def test_accept_all_and_reject_all(self):
         inst = Instance(2, F(1, 4), [
@@ -236,22 +248,22 @@ class TestLearnHyperplane:
             AgentSpec([0, 0], F(1, 4)),
         ])
         o = Oracle(inst)
-        assert learn_hyperplane(o, 1)[0].kind is HalfspaceKind.ACCEPT_ALL
-        assert learn_hyperplane(o, 2)[0].kind is HalfspaceKind.REJECT_ALL
+        assert learn_hyperplane(o, 1) is None
+        assert learn_hyperplane(o, 2) == (0, 0)
 
     def test_rejected_pivot_coefficient_is_zero(self):
         o = Oracle(example_instance())
-        hs, _ = learn_hyperplane(o, 1)
-        assert hs.coeffs[2] == 0  # vertex 3 is agent 1's first rejected vertex
+        row = learn_hyperplane(o, 1)
+        assert row[2] == 0  # vertex 3 is agent 1's first rejected vertex
 
     def test_all_alpha_one_branch(self):
         # Boundary through the accepted vertices: u=(1,0), tau=1 on m=2.
         inst = Instance(2, F(1, 2), [AgentSpec([1, 0], 1)])
         o = Oracle(inst)
-        hs, _ = learn_hyperplane(o, 1)
-        assert hs.coeffs == (1, 0)
-        assert hs.accepts(Lottery.pure(1, 2))
-        assert not hs.accepts(Lottery([F(1, 2), F(1, 2)]))
+        row = learn_hyperplane(o, 1)
+        assert row == (1, 0)
+        assert row_accepts(row, Lottery.pure(1, 2))
+        assert not row_accepts(row, Lottery([F(1, 2), F(1, 2)]))
 
     def test_halfspace_equivalence_on_sampled_lotteries(self):
         rng = random.Random(7)
@@ -259,10 +271,10 @@ class TestLearnHyperplane:
             m, Q = rng.choice([2, 3, 4]), rng.choice([4, 10])
             inst = random_instance(rng, 1, m, Q)
             agent = inst.agents[0]
-            hs, _ = learn_hyperplane(Oracle(inst), 1)
+            row = learn_hyperplane(Oracle(inst), 1)
             for x in sample_lotteries(m, count=200, seed=trial):
                 truth = expected_utility(agent, x) >= agent.threshold
-                assert hs.accepts(x) == truth
+                assert row_accepts(row, x) == truth
 
     def test_plain_query_budget(self):
         rng = random.Random(3)
@@ -274,29 +286,75 @@ class TestLearnHyperplane:
             assert o.ledger.count(QueryCategory.PURE_VERTEX) == m
             assert o.ledger.count(TS) <= (m - 1) * bisection_budget(Q)
 
-    def test_warm_start_same_halfspace_and_error_report(self):
+    def test_warm_start_same_halfspace(self):
         rng = random.Random(17)
         for trial in range(15):
             m, Q = rng.choice([2, 3]), 10
             inst = random_instance(rng, 1, m, Q)
-            plain, _ = learn_hyperplane(Oracle(inst), 1)
+            plain = learn_hyperplane(Oracle(inst), 1)
             warm = sample_lotteries(m, count=5, seed=trial)[-1]
-            warmed, err = learn_hyperplane(Oracle(inst), 1, warm=warm)
-            assert warmed == plain
-            if warmed.kind is HalfspaceKind.COEFFS:
-                assert err is not None and err.max == max(err.per_edge.values())
-            else:
-                assert err is None
+            assert learn_hyperplane(Oracle(inst), 1, warm=warm) == plain
 
     def test_zero_projection_error_query_bound(self):
         # The uniform lottery projects to 1/2 on every edge; this agent's
         # turning points all sit at 1/2, so the hint is edge-perfect while
         # the hint itself is rejected (U = 1/3 < 1/2).
-        inst = Instance(3, F(1, 10), [AgentSpec([0, 1, 0], F(1, 2))])
+        agent = AgentSpec([0, 1, 0], F(1, 2))
+        inst = Instance(3, F(1, 10), [agent])
         uniform = Lottery([F(1, 3)] * 3)
+        for k, kp in rejected_accepted_pairs(agent):
+            assert pairwise_projection(uniform, k, kp) == closed_form(agent, k, kp)
         o = Oracle(inst)
-        hs, err = learn_hyperplane(o, 1, warm=uniform)
-        assert err.max == 0
-        assert not hs.accepts(uniform)
+        row = learn_hyperplane(o, 1, warm=uniform)
+        assert not row_accepts(row, uniform)
         m = 3
         assert o.ledger.total <= m + 4 * (m - 1)
+
+
+@st.composite
+def grid_agents(draw):
+    """One grid agent over m <= 5 alternatives.  A quarter of the utilities
+    equal the threshold, so turning points at exactly 1 (the face case) and
+    AcceptAll / RejectAll agents all come up."""
+    m = draw(st.integers(1, 5))
+    Q = draw(st.sampled_from([2, 4, 10, 97, 1000]))
+    tau = draw(st.integers(1, Q))
+    utility = st.integers(0, 3).flatmap(lambda b: st.just(tau) if b == 0 else st.integers(0, Q))
+    u = draw(st.lists(utility, min_size=m, max_size=m))
+    return AgentSpec([F(a, Q) for a in u], F(tau, Q)), Q
+
+
+def grid_lotteries(m):
+    weights = st.lists(st.integers(0, 6), min_size=m, max_size=m).filter(any)
+    return weights.map(lambda w: Lottery([F(a, sum(w)) for a in w]))
+
+
+class TestLearnedRowAgainstClosedForm:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_cold_and_warm_rows_match_normalized_row(self, data):
+        agent, Q = data.draw(grid_agents())
+        m = agent.m
+        inst = Instance(m, F(1, Q), [agent])
+        warm = data.draw(grid_lotteries(m))
+        accepted = [j for j in range(1, m + 1) if agent.utilities[j - 1] >= agent.threshold]
+        rejected = [j for j in range(1, m + 1) if j not in accepted]
+        expected = normalized_row(agent)
+        for row in (learn_hyperplane(Oracle(inst), 1),
+                    learn_hyperplane(Oracle(inst), 1, warm=warm)):
+            if not rejected:
+                assert row is None and expected is None
+            elif not accepted:
+                assert row == (0,) * m
+            elif any(closed_form(agent, rejected[0], j) < 1 for j in accepted):
+                assert row == expected
+            else:
+                # Face case: the rows may differ off the accepted face, but
+                # both accept exactly the lotteries supported on it.
+                assert row is not None and any(row)
+                probes = [warm, *data.draw(st.lists(grid_lotteries(m), max_size=10))]
+                probes += [Lottery.pure(j, m) for j in range(1, m + 1)]
+                probes += [edge_lottery(k, j, F(1, 2), m) for k in rejected for j in accepted]
+                for x in probes:
+                    assert row_accepts(row, x) == row_accepts(expected, x)
+                    assert row_accepts(row, x) == inst.accepts(1, x)

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from unanimity import (
     AgentSpec,
-    EdgePoint,
     Instance,
     Lottery,
     Oracle,
@@ -68,16 +67,16 @@ class TestQuery:
         inst = example_instance()
         o = Oracle(inst)
         lo, hi = min(a, b), max(a, b)
-        ans_lo = o.query(1, edge_lottery(EdgePoint(3, 1, lo), 3), VER)
-        ans_hi = o.query(1, edge_lottery(EdgePoint(3, 1, hi), 3), VER)
+        ans_lo = o.query(1, edge_lottery(3, 1, lo, 3), VER)
+        ans_hi = o.query(1, edge_lottery(3, 1, hi, 3), VER)
         assert ans_hi or not ans_lo
 
 
 class TestLedger:
     def test_fresh_oracle_all_zero(self):
         o = Oracle(example_instance())
-        snap = o.snapshot_ledger()
-        assert snap.total == 0 and snap.per_agent == {} and snap.per_category == {}
+        ledger = o.ledger
+        assert ledger.total == 0 and ledger.per_agent == {} and ledger.per_category == {}
 
     def test_counting_and_consistency(self):
         o = Oracle(example_instance())
@@ -89,12 +88,6 @@ class TestLedger:
         assert o.ledger.per_agent == {1: 2, 2: 1}
         assert o.ledger.per_category == {PV: 2, VER: 1}
         o.ledger.check()
-
-    def test_snapshot_is_a_copy(self):
-        o = Oracle(example_instance())
-        snap = o.snapshot_ledger()
-        o.query(1, Lottery.pure(1, 3), PV)
-        assert snap.total == 0
 
     def test_learn_hyperplane_query_bound(self):
         # m=3, 1/eps=10: at most 3 vertex queries + 2 searches of <= 8 each.
@@ -123,7 +116,6 @@ class TestLedger:
             o.query(1, Lottery.pure(1, 3), PV)
         assert len(o.ledger.trace) == 2 and o.ledger.total == 5
         assert o.ledger.trace_dropped == 3
-        assert o.snapshot_ledger().trace_dropped == 3
 
     def test_nothing_dropped_without_a_trace(self):
         o = Oracle(example_instance(), trace_cap=2)
