@@ -103,6 +103,17 @@ class TestAgentAndInstance:
         with pytest.raises(ValueError, match="1/epsilon must be an integer >= 2"):
             Instance(2, eps, [])
 
+    def test_edge_point_validation(self):
+        with pytest.raises(ValueError):
+            edge_lottery(1, 1, F(1, 2), 2)
+        with pytest.raises(ValueError):
+            edge_lottery(1, 2, F(3, 2), 2)
+        with pytest.raises(ValueError):
+            edge_lottery(1, 2, F(-1, 2), 2)
+        for k, kprime in ((0, 2), (1, 3)):
+            with pytest.raises(ValueError):
+                edge_lottery(k, kprime, F(1, 2), 2)
+
 
 class TestExpectedUtility:
     def test_worked_example_agent1(self):
@@ -134,17 +145,6 @@ class TestExpectedUtility:
 
 
 class TestEdgeLottery:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            edge_lottery(1, 1, F(1, 2), 2)
-        with pytest.raises(ValueError):
-            edge_lottery(1, 2, F(3, 2), 2)
-        with pytest.raises(ValueError):
-            edge_lottery(1, 2, F(-1, 2), 2)
-        for k, kprime in ((0, 2), (1, 3)):
-            with pytest.raises(ValueError):
-                edge_lottery(k, kprime, F(1, 2), 2)
-
     def test_midpoint(self):
         assert edge_lottery(3, 1, F(1, 2), 3).probs == (F(1, 2), 0, F(1, 2))
 
