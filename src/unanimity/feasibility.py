@@ -6,11 +6,11 @@ or None when the rows are infeasible; ``helly_witness`` shrinks an
 infeasible set to a minimal infeasible subset of at most m owners; and
 ``feasible_full`` decides a known instance without any oracle queries.
 
-The LP engine is one fraction-free simplex tableau per ``select``: Python
-ints over one positive common denominator, updated by Bareiss pivots with
-no per-entry gcd.  A single phase 1 is followed by one pass per coordinate,
-each from the previous optimal basis (lexicographic simplex), with Bland's
-least-index anti-cycling rule.  Only the returned lottery holds Fractions.
+The LP engine is the dual simplex of Seidel (1991) over one m-by-m basis,
+with the integer pivoting of Avis's lrs: Python ints for the basis inverse
+times its determinant, updated by exact Bareiss division.  A pivot costs
+O(m^2), and finding a violated constraint O(k*m) over k rows.  Only the
+returned lottery holds Fractions.
 """
 
 from __future__ import annotations
@@ -65,101 +65,55 @@ class HellyWitness:
     agents: frozenset[int]
 
 
-# --- exact lexicographic simplex ---------------------------------------------
-
-
-def _pivot(rows, obj, basis, d, r, c) -> int:
-    """Bareiss pivot on (r, c) of the tableau ``rows/d``; returns the new d.
-    Exact by Sylvester's identity; a negative pivot row is negated first."""
-    if rows[r][c] < 0:
-        rows[r] = [-v for v in rows[r]]
-    prow = rows[r]
-    p = prow[c]
-    for row in rows + [obj]:
-        if row is not prow:
-            f = row[c]
-            row[:] = [(a * p - f * b) // d for a, b in zip(row, prow)]
-    basis[r] = c
-    return p
-
-
-def _simplex_max(rows, obj, basis, d, allowed) -> int:
-    """Pivot to optimality, entering only columns in ``allowed`` (ascending),
-    and return the final d.  Bland's rule: least-index entering column,
-    least-index leaving basic variable on ratio ties.  Every LP here lives
-    inside the simplex, so an unbounded ray is a bug.
-    """
-    while True:
-        enter = next((j for j in allowed if obj[j] > 0), None)
-        if enter is None:
-            return d
-        candidates = [r for r, row in enumerate(rows) if row[enter] > 0]
-        if not candidates:
-            raise ArithmeticError("objective unbounded on a subset of the simplex")
-        leave = candidates[0]
-        for r in candidates[1:]:
-            # Ratios rhs/coef compared by cross-multiplying; both coefs > 0.
-            cross = rows[r][-1] * rows[leave][enter] - rows[leave][-1] * rows[r][enter]
-            if cross < 0 or (cross == 0 and basis[r] < basis[leave]):
-                leave = r
-        d = _pivot(rows, obj, basis, d, leave, enter)
-
-
-# --- public operations -------------------------------------------------------
-
-
 def select(C: ConstraintSet) -> Optional[Lottery]:
     """Lexicographically maximum lottery satisfying every row, or None.
 
-    One tableau over x_1..x_m and a surplus s_i per row: sum(x) = 1 and
-    <c_i, x> - s_i = 1.  Phase 1 finds a feasible basis, then x_1, x_2, ...
-    are maximized in turn, each from the previous optimal basis.  A column
-    whose reduced cost is negative at a pass's optimum is zero on that
-    pass's whole optimal face, so it may never enter again.  x_m needs no
-    pass: sum(x) = 1 fixes it.  Issues zero oracle queries.
+    A dual simplex in x-space.  The basis is sum(x) = 1 plus m - 1 tight
+    constraints, each a bound x_j >= 0 or a row.  cols[0] / det is its
+    vertex; for s >= 1, cols[s] / det is the edge along which the s-th tight
+    constraint loosens at unit rate while the others stay tight.  Every edge
+    is kept lexicographically negative, so the vertex is the lex-max of its
+    tight constraints, and it is the answer once nothing is violated.
+    Issues zero oracle queries.
     """
-    m, k = C.m, len(C.rows)
-    nvars = m + k
-    # Integer tableau rows/d: each row scaled once by its lcm L of
-    # denominators.  Its surplus column stays -1 (the surplus is L s_i):
-    # scaling a column by L > 0 keeps the pivot path and keeps L out of d.
-    rows = [[1] * m + [0] * k + [1]]
-    for idx, (_, coeffs) in enumerate(C.rows):
+    m = C.m
+    # Every constraint as integers <a, x> >= b: the bounds, then each row
+    # scaled once by the lcm L of its denominators.
+    cons = [([int(i == j) for i in range(m)], 0) for j in range(m)]
+    for _, coeffs in C.rows:
         L = math.lcm(*(c.denominator for c in coeffs))
-        rows.append([c.numerator * (L // c.denominator) for c in coeffs]
-                    + [-1 if s == idx else 0 for s in range(k)] + [L])
+        cons.append(([c.numerator * (L // c.denominator) for c in coeffs], L))
+    # Start at e_1 with x_2..x_m >= 0 tight, whose edges are e_j - e_1.
+    cols = [[1] + [0] * (m - 1)] + [[-1] + [int(i == j) for i in range(1, m)] for j in range(1, m)]
+    det = 1
+    while True:
+        violated = next(((a, b) for a, b in cons if _dot(a, cols[0]) < b * det), None)
+        if violated is None:
+            return Lottery([Fraction(v, det) for v in cols[0]])
+        a, b = violated
+        g = [_dot(a, col) for col in cols]
+        g[0] -= b * det
+        # Any feasible x is the vertex plus a nonnegative mix of the edges,
+        # so if no edge raises <a, x> the constraint can never be met.
+        up = [s for s in range(1, m) if g[s] > 0]
+        if not up:
+            return None
+        # Walk edge t until <a, x> = b.  Edge s becomes cols[s] - (g_s/g_t)
+        # cols[t], lex-negative for every s exactly when cols[t]/g_t is the
+        # lex-largest cols[s]/g_s.  The edges are independent, so no ties.
+        t = up[0]
+        for s in up[1:]:
+            if [v * g[t] for v in cols[s]] > [v * g[s] for v in cols[t]]:
+                t = s
+        # Bareiss update: det' = g_t is the new basis determinant, and
+        # column t, now the edge that loosens a, is unchanged.
+        cols = [col if s == t else [(g[t] * u - g[s] * v) // det for u, v in zip(col, cols[t])]
+                for s, col in enumerate(cols)]
+        det = g[t]
 
-    # Phase 1: row r starts on an artificial variable, marked nvars + r in
-    # the basis.  Artificials never re-enter, so they need no columns; the
-    # reduced costs of min sum(artificials) are the column sums.
-    basis = [nvars + r for r in range(len(rows))]
-    obj = [sum(col) for col in zip(*rows)]
-    d = _simplex_max(rows, obj, basis, 1, range(nvars))
-    if any(b >= nvars and rows[r][-1] != 0 for r, b in enumerate(basis)):
-        return None
-    # Pivot zero-valued artificials out.  A row with no real entry is
-    # redundant: it stays zero on every real column and never leaves.
-    for r in range(len(rows)):
-        if basis[r] >= nvars:
-            enter = next((j for j in range(nvars) if rows[r][j] != 0), None)
-            if enter is not None:
-                d = _pivot(rows, obj, basis, d, r, enter)
 
-    allowed = list(range(nvars))
-    for j in range(m - 1):
-        # Reduced costs of max x_j, scaled by d like the rows.
-        obj = [0] * (nvars + 1)
-        obj[j] = d
-        if j in basis:
-            obj = [a - v for a, v in zip(obj, rows[basis.index(j)])]
-        d = _simplex_max(rows, obj, basis, d, allowed)
-        allowed = [c for c in allowed if obj[c] == 0]
-
-    x = [0] * m
-    for r, b in enumerate(basis):
-        if b < m:
-            x[b] = Fraction(rows[r][-1], d)
-    return Lottery(x)
+def _dot(a, b) -> int:
+    return sum(u * v for u, v in zip(a, b))
 
 
 def helly_witness(C: ConstraintSet) -> HellyWitness:

@@ -226,15 +226,16 @@ def _gen_random_infeasible(params, rng):
     return Instance(m, eps, agents), GroundTruth(False), None
 
 
+# Each family's generator and the parameters it reads besides ``seed``.
 _GENERATORS = {
-    "example-2-3": _gen_example_2_3,
-    "example-2-1": _gen_example_2_1,
-    "grid-singleton": _gen_grid_singleton,
-    "dummy-padded": _gen_dummy_padded,
-    "point-mass": _gen_point_mass,
-    "near-threshold": _gen_near_threshold,
-    "random-feasible": _gen_random_feasible,
-    "random-infeasible": _gen_random_infeasible,
+    "example-2-3": (_gen_example_2_3, ()),
+    "example-2-1": (_gen_example_2_1, ()),
+    "grid-singleton": (_gen_grid_singleton, ("m", "inv_epsilon", "x")),
+    "dummy-padded": (_gen_dummy_padded, ("n", "m", "inv_epsilon", "x")),
+    "point-mass": (_gen_point_mass, ("m", "j", "inv_epsilon")),
+    "near-threshold": (_gen_near_threshold, ("inv_epsilon", "delta", "t")),
+    "random-feasible": (_gen_random_feasible, ("n", "m", "inv_epsilon")),
+    "random-infeasible": (_gen_random_infeasible, ("n", "m", "inv_epsilon")),
 }
 
 
@@ -242,16 +243,25 @@ def generate(spec: GeneratorSpec) -> tuple[Instance, GroundTruth, Optional[Advic
     """Build an instance of the requested family.
 
     Returns (instance, ground truth, advice) where advice is None unless
-    the family prescribes a hint (near-threshold).  Randomized families
-    read an integer ``seed`` parameter (default 0).  An ``inv_epsilon``
-    parameter must be an integer >= 2.
+    the family prescribes a hint (near-threshold).  Every family accepts an
+    integer ``seed`` parameter (default 0), and a parameter the family does
+    not read is rejected.  ``n`` must be >= 0, ``m`` >= 1, and an
+    ``inv_epsilon`` parameter an integer >= 2.
     """
+    gen, reads = _GENERATORS[spec.family]
+    unread = sorted(set(spec.params) - set(reads) - {"seed"})
+    if unread:
+        raise ValueError(f"{spec.family} does not read parameter(s): {', '.join(unread)}")
+    if spec.params.get("n", 0) < 0:
+        raise ValueError(f"need n >= 0 agents (got {spec.params['n']})")
+    if spec.params.get("m", 1) < 1:
+        raise ValueError(f"need m >= 1 alternatives (got {spec.params['m']})")
     Q = spec.params.get("inv_epsilon")
     # bool is an int subclass; True must not pass for 1/epsilon = 1.
     if Q is not None and not (type(Q) is int and Q >= 2):
         raise ValueError("1/epsilon must be an integer >= 2")
     rng = random.Random(spec.params.get("seed", 0))
-    return _GENERATORS[spec.family](spec.params, rng)
+    return gen(spec.params, rng)
 
 
 def _snap(value: Fraction, eps: Fraction) -> Fraction:

@@ -135,12 +135,13 @@ def select_reference(C: ConstraintSet) -> Optional[Lottery]:
     return Lottery(pinned)
 
 
-def helly_witness_reference(C: ConstraintSet) -> frozenset[int]:
-    """The ascending-owner deletion filter over ``select_reference``."""
-    assert select_reference(C) is None
+def helly_witness_reference(C: ConstraintSet, select=select_reference) -> frozenset[int]:
+    """The ascending-owner deletion filter over ``select`` (by default
+    ``select_reference``)."""
+    assert select(C) is None
     kept = sorted(C.owners())
     for owner in sorted(C.owners()):
         trial = [o for o in kept if o != owner]
-        if select_reference(C.restrict(trial)) is None:
+        if select(C.restrict(trial)) is None:
             kept = trial
     return frozenset(kept)

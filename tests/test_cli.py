@@ -71,6 +71,19 @@ class TestGen:
         assert "1/epsilon must be an integer >= 2" in err and "Traceback" not in err
         assert not path.exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["random-feasible", "--n", -1, "--m", 2, "--inv-eps", 10], "need n >= 0"),
+        (["grid-singleton", "--m", 0, "--inv-eps", 10], "need m >= 1"),
+        (["random-feasible", "--n", 3, "--m", 2, "--inv-eps", 10, "--x", "1/2,1/2"],
+         "random-feasible does not read parameter(s): x"),
+    ])
+    def test_bad_size_or_unread_param_exits_usage(self, tmp_path, capsys, argv, message):
+        path = tmp_path / "bad.instance.json"
+        assert run(["gen", *argv, "--out", path]) == 64
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not path.exists()
+
     def test_unknown_family_exits_usage(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(["gen", "no-such-family", "--out", tmp_path / "x.json"])

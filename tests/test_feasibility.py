@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from reference_lp import helly_witness_reference, select_reference
+from tableau_lp import select as select_tableau
 
 from unanimity import (
     AgentSpec,
@@ -167,22 +168,24 @@ class TestFeasibleFull:
 
 
 QUARTERS = st.integers(-8, 12).map(lambda a: F(a, 4))
-# Denominators up to 10**9 make the integer tableau's entries run far past a
+# Denominators up to 10**9 make the integer adjugate's entries run far past a
 # machine word; quarters keep ties and degenerate vertices likely.
 WIDE = st.one_of(QUARTERS, st.fractions(-2, 3, max_denominator=10**9))
 
 
 @st.composite
-def constraint_sets(draw, max_m=5, max_rows=7, coeff=QUARTERS):
+def constraint_sets(draw, max_m=5, max_rows=7, coeff=QUARTERS, planted=False):
     """Rows mixing the degenerate shapes a lexicographic simplex trips on:
     all-ones rows (tight on the whole simplex), duplicates, rows through a
     simplex vertex, and several rows through one shared lottery p, which
-    makes p a degenerate vertex of the feasible region.  Duplicate and
-    all-ones rows leave zero-valued artificials after phase 1, and pivoting
-    those out often takes a negative pivot."""
+    makes p a degenerate vertex of the feasible region, with more than
+    m - 1 constraints tight at once.  With ``planted``, half the sets shift
+    every row by a multiple of the all-ones row until p satisfies it, so
+    large sets are not almost always infeasible."""
     m = draw(st.integers(1, max_m))
     parts = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
     p = [F(a, sum(parts)) for a in parts]
+    feasible = planted and draw(st.booleans())
     rows = []
     for owner in range(1, draw(st.integers(0, max_rows)) + 1):
         kind = draw(st.sampled_from(["random", "ones", "duplicate", "vertex", "through_p"]))
@@ -196,6 +199,10 @@ def constraint_sets(draw, max_m=5, max_rows=7, coeff=QUARTERS):
         elif kind == "through_p":
             dot = sum(c * q for c, q in zip(coeffs, p))
             coeffs = [c / dot for c in coeffs] if dot else [F(1)] * m
+        if feasible:
+            # On the simplex <c + s*1, x> = <c, x> + s, so this makes <c, p> >= 1.
+            shift = max(0, 1 - sum(c * q for c, q in zip(coeffs, p)))
+            coeffs = [c + shift for c in coeffs]
         if any(coeffs):
             rows.append((owner, coeffs))
     return ConstraintSet(m, rows)
@@ -204,9 +211,8 @@ def constraint_sets(draw, max_m=5, max_rows=7, coeff=QUARTERS):
 def pinned_rows(seed: int, m: int, k: int, gap: F = F(0)) -> ConstraintSet:
     """k > m rows: x_j >= p_j + gap for every j of a lottery p with
     denominators near 10**9, an all-ones row, and random rows through p.
-    With gap 0 the feasible set is {p}, so phase 1 ends with zero-valued
-    artificials whose rows need negative pivots to leave; with gap > 0 it
-    is empty."""
+    With gap 0 the feasible set is {p}, a vertex at which all k
+    constraints are tight; with gap > 0 it is empty."""
     rng = random.Random(seed)
     parts = [rng.randint(1, 10**9) for _ in range(m)]
     p = [F(a, sum(parts)) for a in parts]
@@ -227,7 +233,7 @@ def assert_matches_reference(C: ConstraintSet) -> None:
 
 
 class TestAgainstReference:
-    """The one-tableau select against the m-solve reference LP."""
+    """select against the m-solve reference LP."""
 
     @settings(max_examples=300, deadline=None)
     @given(constraint_sets())
@@ -254,17 +260,29 @@ class TestAgainstReference:
         assert_matches_reference(C)
 
 
+class TestAgainstTableau:
+    """select against the two-phase tableau reference, at row counts where
+    the m-solve reference LP takes seconds per set."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(constraint_sets(max_m=8, max_rows=60, planted=True))
+    def test_large_sets_match_tableau(self, C):
+        x = select(C)
+        assert x == select_tableau(C)
+        if x is None:
+            assert helly_witness(C).agents == helly_witness_reference(C, select_tableau)
+
+
 class TestLargePinnedSets:
-    """40+ rows with 9-digit denominators, where the Bareiss denominator d
-    would grow with every basic surplus column.  Checked against the
-    construction instead of the reference LP, which takes seconds per set."""
+    """40+ rows with 9-digit denominators, checked against the construction
+    and the tableau reference."""
 
     @pytest.mark.parametrize("seed, m, k", [(5, 6, 40), (7, 4, 44), (8, 3, 40)])
     def test_select_returns_the_planted_point(self, seed, m, k):
         C = pinned_rows(seed, m, k)
         # Row j + 1 is x_j >= p_j, so its only nonzero coefficient is 1/p_j.
         p = [1 / C.rows[j][1][j] for j in range(m)]
-        assert select(C) == Lottery(p)
+        assert select(C) == Lottery(p) == select_tableau(C)
 
     @pytest.mark.parametrize("seed, m, k, gap", [
         (6, 6, 48, F(1, 10**9)),
@@ -274,6 +292,7 @@ class TestLargePinnedSets:
         C = pinned_rows(seed, m, k, gap)
         assert select(C) is None
         w = helly_witness(C).agents
+        assert w == helly_witness_reference(C, select_tableau)
         assert len(w) <= m
         assert select(C.restrict(w)) is None
         for drop in w:

@@ -40,6 +40,30 @@ class TestGeneratorSpec:
         with pytest.raises(ValueError, match="missing"):
             generate(GeneratorSpec("grid-singleton", {"m": 3}))
 
+    @pytest.mark.parametrize("family, params", [
+        ("random-feasible", {"n": 3, "m": 2, "inv_epsilon": 10}),
+        ("random-infeasible", {"n": 3, "m": 2, "inv_epsilon": 10}),
+        ("dummy-padded", {"n": 3, "m": 2, "inv_epsilon": 10}),
+        ("grid-singleton", {"m": 2, "inv_epsilon": 10}),
+        ("point-mass", {"m": 3, "j": 1}),
+    ])
+    def test_bad_sizes_rejected(self, family, params):
+        generate(GeneratorSpec(family, params))
+        for key, bad, message in (("n", -1, "need n >= 0"), ("m", 0, "need m >= 1")):
+            if key in params:
+                with pytest.raises(ValueError, match=message):
+                    generate(GeneratorSpec(family, {**params, key: bad}))
+
+    @pytest.mark.parametrize("family, params, unread", [
+        ("example-2-3", {"n": 3, "seed": 1}, "n"),
+        ("random-feasible", {"n": 3, "m": 2, "inv_epsilon": 10, "x": ["1/2", "1/2"]}, "x"),
+        ("grid-singleton", {"n": 5, "m": 2, "inv_epsilon": 10, "t": 0}, "n, t"),
+        ("near-threshold", {"inv_epsilon": 10, "delta": "1/25", "t": 0, "m": 2}, "m"),
+    ])
+    def test_unread_params_rejected(self, family, params, unread):
+        with pytest.raises(ValueError, match=f"does not read parameter\\(s\\): {unread}$"):
+            generate(GeneratorSpec(family, params))
+
 
 class TestWorkedExamples:
     def test_feasible_example_matches_table(self):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from unanimity import (
     Advice,
     AgentSpec,
+    GeneratorSpec,
     Instance,
     Lottery,
     Oracle,
@@ -17,6 +19,7 @@ from unanimity import (
     WeightVector,
     expected_utility,
     feasible_full,
+    generate,
     solve_baseline,
     solve_deterministic,
     solve_randomized,
@@ -333,6 +336,29 @@ class TestDegenerateInstances:
         ])
         report = run(Oracle(inst))
         assert report.accepted and report.lottery == Lottery.pure(2, 2)
+
+
+class TestManyLearnedRows:
+    """Nearly all 1000 agents learned at m = 6, so a select sees up to 1000 rows.
+    The lottery and query counts are those of the two-phase tableau LP, which
+    took over a minute per run on a 2-core Xeon; the m-by-m dual simplex
+    takes about 1.5 s, most of it eliciting the agents."""
+
+    LOTTERY = Lottery(["84635213/1007488975", "28854438/1007488975", "2242821/201497795",
+                       "98679444/1007488975", "249983098/1007488975", "534122677/1007488975"])
+
+    @pytest.mark.parametrize("run, queries", [
+        (solve_baseline, 62_700),
+        (lambda o: solve_randomized(o, seed=1), 73_613),
+    ])
+    def test_random_feasible_n1000_m6(self, run, queries):
+        inst, _, _ = generate(GeneratorSpec(
+            "random-feasible", {"n": 1000, "m": 6, "inv_epsilon": 100, "seed": 2}))
+        start = time.perf_counter()
+        report = run(Oracle(inst))
+        assert time.perf_counter() - start < 20
+        assert report.lottery == self.LOTTERY
+        assert report.ledger.total == queries
 
 
 def record_count(inst: Instance, order) -> int:
