@@ -23,6 +23,7 @@ import csv
 import json
 import sys
 import time
+from operator import mul
 
 from unanimity.core import Instance, Lottery, format_rational, parse_rational
 from unanimity.feasibility import ConstraintSet, normalized_row, select
@@ -95,9 +96,17 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _load_json_list(path: str, what: str) -> list:
+def _load_json(path: str, what: str):
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            # Malformed input like any other, not a crash.
+            raise ValueError(f"{what} file {path} is nested too deeply") from None
+
+
+def _load_json_list(path: str, what: str) -> list:
+    doc = _load_json(path, what)
     if not isinstance(doc, list):
         raise ValueError(f"{what} file {path} must hold a JSON list, got {doc!r}")
     return doc
@@ -189,8 +198,8 @@ def _verify_witness(witness, inst: Instance) -> list[str]:
         i = witness["reject_all"]
         if not _is_agent(i, inst):
             return [f"reject_all witness {i!r} is not an agent index in 1..{inst.n}"]
-        agent = inst.agents[i - 1]
-        if max(agent.utilities) >= agent.threshold:
+        U, T = inst.grid_rows[i - 1]
+        if max(U) >= T:
             return [f"agent {i} does not reject every pure lottery"]
         return []
     if isinstance(witness, dict) and list(witness) == ["helly"]:
@@ -200,7 +209,7 @@ def _verify_witness(witness, inst: Instance) -> list[str]:
                 or len(set(agents)) != len(agents)):
             return [f"helly witness {agents!r} is not at most m={inst.m} "
                     f"distinct agent indices in 1..{inst.n}"]
-        rows = [(i, normalized_row(inst.agents[i - 1])) for i in agents]
+        rows = [(i, normalized_row(*inst.grid_rows[i - 1])) for i in agents]
         problems = [f"witness agent {i} accepts everything" for i, row in rows if row is None]
         if not problems and select(ConstraintSet(inst.m, rows)) is not None:
             problems.append("claimed witness subset is feasible")
@@ -225,8 +234,11 @@ def _verify_report(doc, inst: Instance) -> list[str]:
         x = Lottery([parse_rational(t) for t in lottery])
         if x.m != inst.m:
             raise ValueError(f"dimension mismatch: instance has {inst.m}, lottery {x.m}")
+        # Instance.accepts for every agent, with x's integer form read once.
+        P, D = x.scaled
         return [f"agent {i} rejects the reported lottery"
-                for i in range(1, inst.n + 1) if not inst.accepts(i, x)]
+                for i, (U, T) in enumerate(inst.grid_rows, start=1)
+                if sum(map(mul, U, P)) < T * D]
     if kind == "Null":
         return _verify_witness(outcome.get("witness"), inst)
     return [f"unrecognized outcome kind {kind!r}"]
@@ -234,8 +246,7 @@ def _verify_report(doc, inst: Instance) -> list[str]:
 
 def _cmd_verify(args) -> int:
     inst = read_instance(args.instance)
-    with open(args.report, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_json(args.report, "report")
     problems = _verify_report(doc, inst)
     if problems:
         for line in problems:

@@ -1,15 +1,17 @@
 """Exact rational primitives: lotteries, agents, instances, simplex edges.
 
-Every quantity in the model is a rational number; ``fractions.Fraction``
-(arbitrary-precision, always stored reduced with a positive denominator)
-is used as the universal number type.  All types here are immutable after
+Every quantity in the model is a rational number, held exactly: as a
+``fractions.Fraction`` (always reduced, with a positive denominator) or as
+Python ints over a known denominator.  All types here are immutable after
 construction and validate their invariants eagerly.
 
-The membership test ``<u_i, x> >= tau_i`` is decided over Python ints
-(:meth:`Instance.accepts`): every utility and threshold is a multiple of
-epsilon, so scaling by 1/epsilon makes them integers, and a lottery carries
-its coordinates over one common denominator.  Both sides of the test are
-then exact integers and no Fraction is built per query.
+An instance stores its agents as integer rows and nothing else: every
+utility and threshold is a multiple of epsilon, so in units of epsilon
+they are ints.  A lottery carries its coordinates over one common
+denominator, so the membership test ``<u_i, x> >= tau_i``
+(:meth:`Instance.accepts`) compares exact integers and builds no Fraction
+per query.  ``AgentSpec`` is the rational form of an agent: instances are
+built from it, and ``Instance.agents`` gives it back as a view.
 """
 
 from __future__ import annotations
@@ -127,13 +129,17 @@ class AgentSpec:
 class Instance:
     """A hidden problem instance: menu size, quantization grid, agents.
 
-    Every utility and threshold is a multiple of ``epsilon``, which is what
-    lets :meth:`accepts` decide membership over integers exactly.
+    Every utility and threshold is a multiple of ``epsilon``, so the
+    instance holds them as integers in units of epsilon: ``grid_rows[i - 1]``
+    is agent i's ``(U, T)`` with ``U_j = u_j / epsilon`` in 0..1/epsilon and
+    ``T = tau_i / epsilon`` in 1..1/epsilon.  These rows are all it stores;
+    :meth:`accepts` decides membership on them, and ``agents`` is an
+    :class:`AgentSpec` view built on first access.
     """
 
     m: int
     epsilon: Fraction
-    agents: tuple[AgentSpec, ...]
+    grid_rows: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, m: int, epsilon, agents: Sequence[AgentSpec]) -> None:
         epsilon = Fraction(epsilon)
@@ -143,55 +149,65 @@ class Instance:
         if epsilon.numerator != 1 or epsilon.denominator < 2:
             raise ValueError("1/epsilon must be an integer >= 2")
         Q = epsilon.denominator
-        agents = tuple(agents)
+        rows = []
         for idx, agent in enumerate(agents, start=1):
             if agent.m != m:
                 raise ValueError(f"agent {idx}: expected {m} utilities, got {agent.m}")
-            # In lowest terms, p/q is a multiple of 1/Q iff q divides Q.
+            # In lowest terms, p/q is a multiple of 1/Q iff q divides Q, and
+            # then it is p * (Q // q) units of 1/Q.
+            U = []
             for j, u in enumerate(agent.utilities, start=1):
-                if Q % u.denominator:
+                p, q = u.as_integer_ratio()
+                if Q % q:
                     raise ValueError(
                         f"agent {idx}: utility for alternative {j} is not a "
                         f"multiple of epsilon={epsilon}"
                     )
-            if Q % agent.threshold.denominator:
+                U.append(p * (Q // q))
+            p, q = agent.threshold.as_integer_ratio()
+            if Q % q:
                 raise ValueError(
                     f"agent {idx}: threshold is not a multiple of epsilon={epsilon}"
                 )
+            rows.append((tuple(U), p * (Q // q)))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "grid_rows", tuple(rows))
+
+    @classmethod
+    def _from_grid_rows(cls, m: int, inv_epsilon: int, rows: tuple) -> "Instance":
+        """An instance over rows its caller has already checked: m >= 1,
+        1/epsilon >= 2, and per agent m ints U_j in 0..1/epsilon and an int
+        T in 1..1/epsilon.  For readers that validate while parsing."""
+        inst = object.__new__(cls)
+        object.__setattr__(inst, "m", m)
+        object.__setattr__(inst, "epsilon", Fraction(1, inv_epsilon))
+        object.__setattr__(inst, "grid_rows", rows)
+        return inst
+
+    @cached_property
+    def agents(self) -> tuple[AgentSpec, ...]:
+        """The agents as exact rationals, built from ``grid_rows`` once."""
+        Q = self.inv_epsilon
+        return tuple(AgentSpec([Fraction(u, Q) for u in U], Fraction(T, Q))
+                     for U, T in self.grid_rows)
 
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return len(self.grid_rows)
 
     @property
     def inv_epsilon(self) -> int:
         return self.epsilon.denominator
 
-    @cached_property
-    def _grid_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Per agent, utilities and threshold in units of epsilon, as ints.
-
-        Built on the first membership test, not in ``__init__``: most
-        instances that are only generated, written or held never need them.
-        """
-        Q = self.inv_epsilon
-        return tuple(
-            (tuple(u.numerator * (Q // u.denominator) for u in a.utilities),
-             a.threshold.numerator * (Q // a.threshold.denominator))
-            for a in self.agents
-        )
-
     def accepts(self, i: int, x: Lottery) -> bool:
         """Does agent ``i`` (1-based) accept ``x``, i.e. <u_i, x> >= tau_i?
 
-        With U = u_i/epsilon, T = tau_i/epsilon and x = P/D, the test is
+        With (U, T) the agent's grid row and x = P/D, the test is
         sum_j U_j P_j >= T D, decided exactly over Python ints.
         ``expected_utility`` is the Fraction reference for the same test.
         """
-        rows = self._grid_rows
+        rows = self.grid_rows
         if not 1 <= i <= len(rows):
             raise IndexError(f"agent index {i} out of range 1..{len(rows)}")
         U, T = rows[i - 1]

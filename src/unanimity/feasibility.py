@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from unanimity.core import AgentSpec, Instance, Lottery
+from unanimity.core import Instance, Lottery
 
 
 @dataclass(frozen=True)
@@ -134,15 +134,19 @@ def helly_witness(C: ConstraintSet) -> HellyWitness:
     return HellyWitness(agents=frozenset(kept))
 
 
-def normalized_row(agent: AgentSpec) -> Optional[tuple[Fraction, ...]]:
-    """The agent's halfspace as c_j = (u_j - u_r)/(tau - u_r), r = first
-    rejected vertex; None when the agent accepts every pure lottery."""
-    reject = [j for j, u in enumerate(agent.utilities) if u < agent.threshold]
-    if not reject:
+def normalized_row(utilities: Sequence, threshold) -> Optional[tuple[Fraction, ...]]:
+    """The halfspace of an agent with these utilities and threshold, as
+    c_j = (u_j - u_r)/(tau - u_r), r = first rejected vertex; None when the
+    agent accepts every pure lottery.
+
+    The row is scale-free, so an instance's grid row (U, T) in units of
+    epsilon gives the same Fractions as the agent's (u, tau).
+    """
+    r = next((j for j, u in enumerate(utilities) if u < threshold), None)
+    if r is None:
         return None
-    r = reject[0]
-    u_r = agent.utilities[r]
-    return tuple((u - u_r) / (agent.threshold - u_r) for u in agent.utilities)
+    u_r = utilities[r]
+    return tuple(Fraction(u - u_r, threshold - u_r) for u in utilities)
 
 
 def feasible_full(inst: Instance) -> Optional[Lottery]:
@@ -153,10 +157,10 @@ def feasible_full(inst: Instance) -> Optional[Lottery]:
     the normalized rows.
     """
     rows = []
-    for idx, agent in enumerate(inst.agents, start=1):
-        if max(agent.utilities) < agent.threshold:
+    for idx, (U, T) in enumerate(inst.grid_rows, start=1):
+        if max(U) < T:
             return None
-        row = normalized_row(agent)
+        row = normalized_row(U, T)
         if row is not None:
             rows.append((idx, row))
     return select(ConstraintSet(inst.m, rows))

@@ -295,53 +295,95 @@ def quantize(utilities: Sequence[Sequence], thresholds: Sequence, epsilon) -> In
     return Instance(m, eps, agents)
 
 
+class _Memo(dict):
+    """A dict that computes each missing key's value once, with ``make``."""
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
 def write_instance(inst: Instance, path) -> None:
     """Serialize to the JSON instance format (conventionally *.instance.json)."""
+    Q = inst.inv_epsilon
+    text = _Memo(lambda units: format_rational(Fraction(units, Q)))
     doc = {
         "m": inst.m,
         "inv_epsilon": inst.inv_epsilon,
-        "agents": [
-            {
-                "u": [format_rational(u) for u in agent.utilities],
-                "tau": format_rational(agent.threshold),
-            }
-            for agent in inst.agents
-        ],
+        "agents": [{"u": list(map(text.__getitem__, U)), "tau": text[T]}
+                   for U, T in inst.grid_rows],
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
+        fh.write(json.dumps(doc, indent=2))
         fh.write("\n")
 
 
+def _grid_units(text, Q: int) -> int:
+    """The value of a rational string in [0, 1] in units of 1/Q.  A
+    ValueError says why ``text`` is rejected; the caller says where."""
+    try:
+        value = parse_rational(text)
+    except ValueError:
+        raise ValueError("is not a rational string") from None
+    if not 0 <= value <= 1:
+        raise ValueError("lies outside [0, 1]")
+    # In lowest terms, p/q is a multiple of 1/Q iff q divides Q.
+    scale, off = divmod(Q, value.denominator)
+    if off:
+        raise ValueError(f"is not a multiple of epsilon=1/{Q}")
+    return value.numerator * scale
+
+
 def read_instance(path) -> Instance:
-    """Parse and validate an instance file; raises ValueError with the
-    offending agent index on any quantization or range violation."""
+    """Parse and validate an instance file; raises ValueError naming the
+    offending agent on any range, length or quantization violation.
+
+    Each value goes straight from its string to an integer in units of
+    epsilon; no AgentSpec or per-value Fraction is built.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed instance file {path}: {exc}") from exc
+    except RecursionError:
+        raise ValueError(f"malformed instance file {path}: nested too deeply") from None
     try:
         m, Q, agents = doc["m"], doc["inv_epsilon"], doc["agents"]
-        # bool is an int subclass, and a string "u" would iterate its characters.
-        if not (type(m) is int and type(Q) is int and isinstance(agents, list)
-                and all(isinstance(a, dict) and isinstance(a["u"], list) for a in agents)):
-            raise TypeError('want integer "m" and "inv_epsilon" and a list of {"u": [...], "tau"}')
-        # A grid holds at most 1/epsilon + 1 values: parse each string once.
-        # Only strings reach the cache (parse_rational rejects the rest); an
-        # unhashable value is a TypeError.
-        parsed: dict[str, Fraction] = {}
-
-        def rational(text) -> Fraction:
-            value = parsed.get(text)
-            if value is None:
-                value = parsed[text] = parse_rational(text)
-            return value
-
-        agents = [AgentSpec([rational(u) for u in a["u"]], rational(a["tau"]))
-                  for a in agents]
+        # bool is an int subclass.
+        if not (type(m) is int and type(Q) is int and isinstance(agents, list)):
+            raise TypeError('want integer "m" and "inv_epsilon" and a list of agents')
+        if Q < 2 or m < 1:
+            raise ValueError(f"malformed instance file {path}: want m >= 1 and "
+                             f"inv_epsilon >= 2, got m={m}, inv_epsilon={Q}")
+        # Each distinct string is parsed and checked once.  Only strings
+        # become keys (parse_rational rejects the rest); an unhashable value
+        # is a TypeError.
+        units = _Memo(lambda text: _grid_units(text, Q))
+        rows = []
+        for idx, a in enumerate(agents, start=1):
+            # A string or an object "u" would iterate its characters or keys.
+            if not (isinstance(a, dict) and isinstance(a.get("u"), list)):
+                raise TypeError(f'agent {idx}: want {{"u": [...], "tau": ...}}')
+            u, tau = a["u"], a["tau"]
+            try:
+                U = tuple(map(units.__getitem__, u))
+                T = units[tau]
+            except ValueError as exc:
+                # The first value not in the table is the one that failed.
+                where, text = next(((f"utility for alternative {j}", text)
+                                    for j, text in enumerate(u, start=1) if text not in units),
+                                   ("threshold", tau))
+                raise ValueError(f"agent {idx}: {where} {text!r} {exc}") from None
+            if len(U) != m:
+                raise ValueError(f"agent {idx}: expected {m} utilities, got {len(U)}")
+            if not T:
+                raise ValueError(f"agent {idx}: threshold {tau!r} is not positive")
+            rows.append((U, T))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc
-    if Q < 2:
-        raise ValueError(f"malformed instance file {path}: inv_epsilon must be >= 2, got {Q}")
-    return Instance(m, Fraction(1, Q), agents)
+    return Instance._from_grid_rows(m, Q, tuple(rows))

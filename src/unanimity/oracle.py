@@ -33,6 +33,8 @@ class QueryCategory(enum.Enum):
 class QueryLedger:
     """Running counters for oracle calls, with an optional bounded trace.
 
+    :meth:`Oracle.query` is the only writer: it counts every query here.
+
     The trace keeps the first ``trace_cap`` queries; ``trace_dropped``
     counts the queries past the cap that it did not keep.
     """
@@ -42,13 +44,6 @@ class QueryLedger:
     per_category: dict[QueryCategory, int] = field(default_factory=dict)
     trace: Optional[list[tuple[int, QueryCategory, Lottery, bool]]] = None
     trace_cap: int = 10_000
-
-    def record(self, agent: int, cat: QueryCategory, x: Lottery, answer: bool) -> None:
-        self.total += 1
-        self.per_agent[agent] = self.per_agent.get(agent, 0) + 1
-        self.per_category[cat] = self.per_category.get(cat, 0) + 1
-        if self.trace is not None and len(self.trace) < self.trace_cap:
-            self.trace.append((agent, cat, x, answer))
 
     @property
     def trace_dropped(self) -> int:
@@ -113,5 +108,13 @@ class Oracle:
         lottery of the wrong dimension (see :meth:`Instance.accepts`).
         """
         answer = self._hidden.accepts(i, x)
-        self.ledger.record(i, cat, x, answer)
+        # The ledger update, inline: this is the hot path of every scan.
+        ledger = self.ledger
+        ledger.total += 1
+        per_agent, per_category = ledger.per_agent, ledger.per_category
+        per_agent[i] = per_agent.get(i, 0) + 1
+        per_category[cat] = per_category.get(cat, 0) + 1
+        trace = ledger.trace
+        if trace is not None and len(trace) < ledger.trace_cap:
+            trace.append((i, cat, x, answer))
         return answer

@@ -21,7 +21,7 @@ search.  Bad advice costs extra queries, never correctness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Optional
 
@@ -69,22 +69,28 @@ class WeightVector:
     """Exact integer sampling weights, one per agent, all >= 1."""
 
     weights: dict[int, int]
+    total: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, weights: dict[int, int]) -> None:
         weights = {int(i): int(w) for i, w in weights.items()}
         if any(w < 1 for w in weights.values()):
             raise ValueError("all weights must be >= 1")
         object.__setattr__(self, "weights", weights)
-
-    @property
-    def total(self) -> int:
-        return sum(self.weights.values())
+        object.__setattr__(self, "total", sum(weights.values()))
 
     def doubled(self, agents) -> "WeightVector":
+        """These agents' weights doubled.  Doubling keeps every weight an
+        int >= 1, so the result skips ``__init__``'s checks."""
         out = dict(self.weights)
+        added = 0
         for i in agents:
-            out[i] *= 2
-        return WeightVector(out)
+            w = out[i]
+            out[i] = 2 * w
+            added += w
+        new = object.__new__(WeightVector)
+        object.__setattr__(new, "weights", out)
+        object.__setattr__(new, "total", self.total + added)
+        return new
 
 
 @dataclass(frozen=True)

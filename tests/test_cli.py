@@ -289,6 +289,29 @@ class TestVerify:
         assert run(["verify", rep, ex23]) == 1  # but this instance is feasible
 
 
+class TestDeepJson:
+    """JSON nested deeper than the parser's recursion limit is malformed
+    input: exit 64, not a RecursionError (whose exit 1 would read as a
+    verify FAIL)."""
+
+    @pytest.mark.parametrize("target", ["instance", "report", "advice-lottery", "advice-perm"])
+    def test_deep_nesting_exits_usage(self, ex23, tmp_path, capsys, target):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        rep = tmp_path / "rep.json"
+        assert run(["solve", ex23, "--out", rep]) == 0
+        argvs = {
+            "instance": [["solve", deep], ["verify", rep, deep]],
+            "report": [["verify", deep, ex23]],
+            "advice-lottery": [["solve", ex23, "--advice-lottery", deep]],
+            "advice-perm": [["solve", ex23, "--advice-perm", deep]],
+        }[target]
+        for argv in argvs:
+            capsys.readouterr()
+            assert run(argv) == 64
+            assert "nested too deeply" in capsys.readouterr().err
+
+
 class TestBench:
     def test_sweep_shape_and_append(self, ex23, ex21, tmp_path):
         out = tmp_path / "bench.csv"

@@ -177,6 +177,23 @@ class TestPairwiseProjection:
         assert pairwise_projection(x, 1, 3) == alpha
 
 
+class TestGridRows:
+    """An instance stores each agent as ints (U, T) in units of epsilon;
+    ``agents`` is the rational view of those rows."""
+
+    @given(data=st.data())
+    def test_rows_and_agents_view(self, data):
+        m = data.draw(st.integers(1, 4))
+        Q = data.draw(st.sampled_from([2, 7, 20, 10**9 + 7]))
+        rows = data.draw(st.lists(st.tuples(
+            st.tuples(*[st.integers(0, Q)] * m), st.integers(1, Q)), max_size=6))
+        agents = [AgentSpec([F(u, Q) for u in U], F(T, Q)) for U, T in rows]
+        inst = Instance(m, F(1, Q), agents)
+        assert inst.grid_rows == tuple(rows) and inst.n == len(rows)
+        assert inst.agents == tuple(agents) and inst.agents is inst.agents
+        assert Instance(m, F(1, Q), inst.agents) == inst
+
+
 @st.composite
 def grid_cases(draw):
     """A grid instance, a lottery of arbitrary denominators, and the indices

@@ -339,7 +339,7 @@ class TestLearnedRowAgainstClosedForm:
         warm = data.draw(grid_lotteries(m))
         accepted = [j for j in range(1, m + 1) if agent.utilities[j - 1] >= agent.threshold]
         rejected = [j for j in range(1, m + 1) if j not in accepted]
-        expected = normalized_row(agent)
+        expected = normalized_row(agent.utilities, agent.threshold)
         for row in (learn_hyperplane(Oracle(inst), 1),
                     learn_hyperplane(Oracle(inst), 1, warm=warm)):
             if not rejected:

@@ -2,9 +2,13 @@
 
 import json
 import random
+import warnings
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
+import reference_instances
+from hypothesis import given, settings, strategies as st
 
 from unanimity import (
     Advice,
@@ -21,6 +25,7 @@ from unanimity import (
     solve_deterministic,
     write_instance,
 )
+from unanimity.instances import FAMILIES
 
 
 def random_lottery(rng, m):
@@ -260,17 +265,154 @@ class TestFileFormat:
             read_instance(path)
 
     def test_quantization_violation_names_the_agent(self, tmp_path):
+        # Every range, zero-threshold, length and quantization error names
+        # the agent (here always the second, after a valid first one).
         path = tmp_path / "bad.instance.json"
-        path.write_text(json.dumps({
-            "m": 2, "inv_epsilon": 10,
-            "agents": [{"u": ["1", "0"], "tau": "1/2"},
-                       {"u": ["1/3", "0"], "tau": "1/2"}],
-        }))
-        with pytest.raises(ValueError, match="agent 2"):
-            read_instance(path)
+        for bad in ({"u": ["1/3", "0"], "tau": "1/2"},
+                    {"u": ["1", "0"], "tau": "1/3"},
+                    {"u": ["0", "3/2"], "tau": "1/2"},
+                    {"u": ["-1/10", "0"], "tau": "1/2"},
+                    {"u": ["1", "0"], "tau": "11/10"},
+                    {"u": ["1", "0"], "tau": "-1/2"},
+                    {"u": ["1", "0"], "tau": "0"},
+                    {"u": ["1", "0"], "tau": "0/7"},
+                    {"u": ["1"], "tau": "1/2"},
+                    {"u": ["1", "0", "0"], "tau": "1/2"},
+                    {"u": ["1", "x"], "tau": "1/2"}):
+            path.write_text(json.dumps({
+                "m": 2, "inv_epsilon": 10,
+                "agents": [{"u": ["1", "0"], "tau": "1/2"}, bad],
+            }))
+            with pytest.raises(ValueError, match="^agent 2: "):
+                read_instance(path)
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.instance.json"
         path.write_text("{not json")
         with pytest.raises(ValueError, match="malformed"):
             read_instance(path)
+
+
+# Each family with a strategy for its parameters (seed included).
+_SEEDS = st.integers(0, 10**6)
+_FAMILY_PARAMS = {
+    "example-2-3": st.fixed_dictionaries({}),
+    "example-2-1": st.fixed_dictionaries({}),
+    "random-feasible": st.fixed_dictionaries(
+        {"n": st.integers(0, 25), "m": st.integers(1, 4),
+         "inv_epsilon": st.sampled_from([4, 7, 10, 20, 360, 10**6]), "seed": _SEEDS}),
+    "random-infeasible": st.fixed_dictionaries(
+        {"n": st.integers(2, 25), "m": st.integers(2, 4),
+         "inv_epsilon": st.sampled_from([2, 7, 10, 20, 10**6]), "seed": _SEEDS}),
+    "grid-singleton": st.fixed_dictionaries(
+        {"m": st.integers(1, 4), "inv_epsilon": st.sampled_from([4, 9, 20, 5000]),
+         "seed": _SEEDS}),
+    "point-mass": st.integers(1, 4).flatmap(lambda m: st.fixed_dictionaries(
+        {"m": st.just(m), "j": st.integers(1, m), "inv_epsilon": st.integers(2, 30)})),
+    "dummy-padded": st.integers(1, 4).flatmap(lambda m: st.fixed_dictionaries(
+        {"n": st.integers(m, 25), "m": st.just(m),
+         "inv_epsilon": st.sampled_from([4, 10, 20, 999]), "seed": _SEEDS})),
+    "near-threshold": st.sampled_from([4, 10, 20, 4000]).flatmap(
+        lambda Q: st.fixed_dictionaries(
+            {"inv_epsilon": st.just(Q), "delta": st.just("1/25"),
+             "t": st.integers(0, min(Q // 2, Q * Q // 25 + 1) - 1), "seed": _SEEDS})),
+}
+assert set(_FAMILY_PARAMS) == set(FAMILIES)
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: the instance, or the ValueError class."""
+    try:
+        return read(path)
+    except ValueError:
+        return ValueError
+
+
+def _grid_spellings(Q, low=0):
+    """Strings for k/Q, k in low..Q: reduced, unreduced, padded, decimal."""
+    def spell(k):
+        forms = [f"{k}/{Q}", str(F(k, Q)), f"{2 * k}/{2 * Q}", f" {F(k, Q)} "]
+        if 100 % Q == 0:
+            forms.append(str(Decimal(k) / Decimal(Q)))
+        return st.sampled_from(forms)
+    return st.integers(low, Q).flatmap(spell)
+
+
+# Values a broken instance file might hold: off-grid and out-of-range
+# rationals, JSON numbers and bools, unparsable strings.
+_ODD_VALUES = st.one_of(
+    st.sampled_from(["0", "1", "0.65", "0.5", "1/3", "2/7", "3/2", "-1/10", "-0", "1/0",
+                     "", "x", "1e-1", "+1/2", "0.333"]),
+    st.sampled_from([0, 1, 0.5, 1.0, True, False, None, ["1"], {"u": "1"}]),
+)
+
+
+@st.composite
+def instance_docs(draw):
+    """Instance files, half of them valid; the rest have a few bad values,
+    wrong lengths, a missing field or a bad header.  Drawing from small
+    grids repeats strings often."""
+    m = draw(st.integers(1, 4))
+    Q = draw(st.sampled_from([2, 3, 10, 20, 100]))
+    clean = draw(st.booleans())
+    utilities, thresholds = _grid_spellings(Q), _grid_spellings(Q, low=1)
+    if not clean:
+        utilities = st.one_of(*[utilities] * 6, _ODD_VALUES)
+        thresholds = st.one_of(*[thresholds] * 6, _grid_spellings(Q), _ODD_VALUES)
+    agents = []
+    for _ in range(draw(st.integers(0, 6))):
+        length = m if clean else draw(st.sampled_from([m] * 6 + [m - 1, m + 1]))
+        agent = {"u": draw(st.lists(utilities, min_size=length, max_size=length)),
+                 "tau": draw(thresholds)}
+        if not clean:
+            agent = draw(st.sampled_from([agent] * 12 + [{"u": agent["u"]}, agent["u"]]))
+        agents.append(agent)
+    doc = {"m": m, "inv_epsilon": Q, "agents": agents}
+    key = None if clean else draw(st.sampled_from(["m", "inv_epsilon"] + [None] * 8))
+    if key is not None:
+        doc[key] = draw(st.sampled_from([0, 1, -2, 3, True, 10.0, "10", None]))
+    return doc
+
+
+@pytest.fixture(scope="module")
+def file_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("instance-files")
+
+
+class TestAgainstReference:
+    """The integer-row reader and writer against the Fraction-based ones
+    they replace (``tests/reference_instances.py``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), data=st.data())
+    def test_writer_bytes_match_reference(self, file_dir, family, data):
+        params = data.draw(_FAMILY_PARAMS[family])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst, _, _ = generate(GeneratorSpec(family, params))
+        ours, ref = file_dir / "ours.instance.json", file_dir / "ref.instance.json"
+        write_instance(inst, ours)
+        reference_instances.write_instance(inst, ref)
+        assert ours.read_bytes() == ref.read_bytes()
+        assert read_instance(ours) == inst
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=instance_docs())
+    def test_reader_matches_reference(self, file_dir, doc):
+        path = file_dir / "fuzz.instance.json"
+        path.write_text(json.dumps(doc))
+        ours = _outcome(read_instance, path)
+        ref = _outcome(reference_instances.read_instance, path)
+        assert (ours is ValueError) == (ref is ValueError)
+        if ref is not ValueError:
+            assert ours == ref and ours.agents == ref.agents
+
+    def test_reader_accepts_reference_spellings(self, tmp_path):
+        path = tmp_path / "spelled.instance.json"
+        path.write_text(json.dumps({"m": 3, "inv_epsilon": 20, "agents": [
+            {"u": ["0.65", " 1/2 ", "2/20"], "tau": "0.65"},
+            {"u": ["0.65", "1", "-0"], "tau": "1e-1"},
+        ]}))
+        inst = read_instance(path)
+        assert inst == reference_instances.read_instance(path)
+        assert inst.grid_rows == (((13, 10, 2), 13), ((13, 20, 0), 2))

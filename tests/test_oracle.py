@@ -7,14 +7,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from unanimity import (
+    Advice,
     AgentSpec,
+    GeneratorSpec,
     Instance,
     Lottery,
     Oracle,
     QueryCategory,
     edge_lottery,
     expected_utility,
+    generate,
     learn_hyperplane,
+    solve_baseline,
+    solve_deterministic,
+    solve_randomized,
 )
 
 PV = QueryCategory.PURE_VERTEX
@@ -122,3 +128,51 @@ class TestLedger:
         for _ in range(5):
             o.query(1, Lottery.pure(1, 3), PV)
         assert o.ledger.trace_dropped == 0
+
+
+class TestSingleEntryPoint:
+    """Every query of every solver goes through ``Oracle.query``: a wrapper
+    patched onto the class, as a tracer would install it, sees exactly the
+    queries the ledger counts."""
+
+    @staticmethod
+    def runs():
+        feasible, _, _ = generate(GeneratorSpec(
+            "random-feasible", {"n": 30, "m": 3, "inv_epsilon": 20, "seed": 4}))
+        infeasible, _, _ = generate(GeneratorSpec(
+            "random-infeasible", {"n": 12, "m": 3, "inv_epsilon": 20, "seed": 2}))
+        hinted, truth, advice = generate(GeneratorSpec(
+            "near-threshold", {"inv_epsilon": 20, "delta": "1/25", "t": 3}))
+        order = Advice(order=range(30, 0, -1))
+        bad_hint = Advice(x_hat=Lottery.pure(1, 3))
+        for inst in (feasible, infeasible):
+            yield inst, solve_baseline
+            yield inst, solve_deterministic
+            yield inst, lambda o: solve_randomized(o, seed=5)
+        yield feasible, lambda o: solve_deterministic(o, order)
+        yield feasible, lambda o: solve_randomized(o, order, seed=1)
+        yield feasible, lambda o: solve_deterministic(o, bad_hint)
+        yield feasible, lambda o: solve_randomized(o, bad_hint, seed=2)
+        yield hinted, lambda o: solve_deterministic(o, advice)
+        yield hinted, lambda o: solve_deterministic(o, Advice(x_hat=truth.lottery))
+
+    def test_patched_query_sees_every_counted_query(self, monkeypatch):
+        calls = []
+        original = Oracle.query
+
+        def counted(self, i, x, cat):
+            calls.append((i, cat, x))
+            return original(self, i, x, cat)
+
+        monkeypatch.setattr(Oracle, "query", counted)
+        for inst, solve in self.runs():
+            calls.clear()
+            report = solve(Oracle(inst, capture_trace=True, trace_cap=50))
+            ledger = report.ledger
+            assert len(calls) == ledger.total > 0
+            ledger.check()
+            # Only categories that were asked appear, never a zero count.
+            assert all(c > 0 for c in ledger.per_category.values())
+            # The trace keeps the first trace_cap queries, in order.
+            assert [(i, cat, x) for i, cat, x, _ in ledger.trace] == calls[:50]
+            assert ledger.trace_dropped == max(0, ledger.total - 50)

@@ -275,6 +275,19 @@ class TestWeightedSample:
         doubled = WeightVector({1: 1, 2: 3}).doubled([2])
         assert doubled.weights == {1: 1, 2: 6}
 
+    @given(weights=st.lists(st.integers(1, 50), min_size=1, max_size=20), data=st.data())
+    def test_doubled_matches_a_validated_vector(self, weights, data):
+        w = WeightVector(dict(enumerate(weights, start=1)))
+        for _ in range(3):
+            before = dict(w.weights)
+            agents = data.draw(st.lists(st.sampled_from(sorted(before)), unique=True))
+            doubled = w.doubled(agents)
+            expected = WeightVector({i: 2 * c if i in agents else c for i, c in before.items()})
+            assert doubled == expected and doubled.total == expected.total
+            assert doubled.total == sum(doubled.weights.values())
+            assert w.weights == before
+            w = doubled
+
 
 DEGENERATE_KINDS = ("one-alternative", "no-agents", "accept-all", "turning-at-one",
                     "on-threshold")
