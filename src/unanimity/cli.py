@@ -23,6 +23,7 @@ import csv
 import json
 import sys
 import time
+from functools import cache
 from operator import mul
 
 from unanimity.core import Instance, Lottery, format_rational, parse_rational
@@ -54,7 +55,13 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The one parser of this process, built on first use.
+
+    Reuse is safe: ``parse_args`` returns a fresh namespace on every call
+    and leaves the parser as it was.
+    """
     p = _Parser(prog="unanimity", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -270,6 +277,8 @@ def _bench_row(path: str, inst: Instance, solver: str, advice: Advice,
 
 
 def _cmd_bench(args) -> int:
+    if args.seeds < 1:
+        raise ValueError(f"--seeds must be >= 1 (got {args.seeds})")
     solvers = args.solver or list(SOLVERS)
     advice = _load_advice(args.advice_perm, args.advice_lottery)
     rows = []

@@ -27,17 +27,28 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# The largest decimal exponent parse_rational accepts.  It is CPython's
+# default limit on the digits of an int string, which already caps a
+# spelled-out decimal like "0.000...1" at the same size.
+MAX_EXPONENT = 4300
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` or a terminating decimal like ``"0.65"`` exactly.
 
-    Anything but a string (a JSON number, say) is a ValueError.
+    Anything but a string (a JSON number, say) is a ValueError, and so is
+    an exponent beyond +-MAX_EXPONENT: ``Fraction`` computes ``10**exp``
+    before any range check, so ``"1e-999999999"`` would never return.
     """
     if not isinstance(text, str):
         raise ValueError(f"not a rational string: {text!r}")
     try:
-        return Fraction(text.strip())
+        _, e, exp = text.lower().rpartition("e")
+        if not (e and abs(int(exp)) > MAX_EXPONENT):
+            return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
+    raise ValueError(f"not a rational number: {text!r} (exponent beyond +-{MAX_EXPONENT})")
 
 
 def format_rational(value: Fraction) -> str:

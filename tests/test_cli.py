@@ -333,6 +333,96 @@ class TestBench:
         rows = list(csv.DictReader(out.open()))
         assert rows[0]["outcome"] == "Null" and rows[0]["n"] == "2"
 
+    @pytest.mark.parametrize("seeds", [0, -3])
+    def test_nonpositive_seeds_exit_usage(self, ex23, tmp_path, capsys, seeds):
+        out = tmp_path / "bench.csv"
+        assert run(["bench", ex23, "--solver", "randomized", "--seeds", seeds,
+                    "--out", out]) == 64
+        err = capsys.readouterr().err
+        assert f"--seeds must be >= 1 (got {seeds})" in err and "Traceback" not in err
+        assert not out.exists()
+
+
+class TestHugeExponent:
+    """A 12-byte value like "1e-999999999" would make Fraction build
+    10**999999999; every reader rejects it at once with exit 64."""
+
+    HUGE = "1e-999999999"
+
+    @pytest.mark.parametrize("target", ["instance", "report", "advice-lottery",
+                                        "bench-advice-lottery", "gen-x", "gen-delta"])
+    def test_exits_usage(self, ex23, tmp_path, capsys, target):
+        huge = self.HUGE
+        rep, hint = tmp_path / "rep.json", tmp_path / "hint.json"
+        rep.write_text(json.dumps({"outcome": {"kind": "Accepted",
+                                               "lottery": [huge, "1", "0"]}}))
+        hint.write_text(json.dumps([huge, "1", "0"]))
+        rejected = f"not a rational number: {huge!r} (exponent beyond +-4300)"
+        if target == "instance":
+            doc = json.loads(ex23.read_text())
+            doc["agents"][0]["tau"] = huge
+            ex23.write_text(json.dumps(doc))
+            argv = ["solve", ex23]
+            rejected = f"agent 1: threshold {huge!r} is not a rational string"
+        else:
+            argv = {
+                "report": ["verify", rep, ex23],
+                "advice-lottery": ["solve", ex23, "--advice-lottery", hint],
+                "bench-advice-lottery": ["bench", ex23, "--advice-lottery", hint,
+                                         "--out", tmp_path / "bench.csv"],
+                "gen-x": ["gen", "grid-singleton", "--m", 3, "--inv-eps", 10,
+                          "--x", f"{huge},0,1", "--out", tmp_path / "g.json"],
+                "gen-delta": ["gen", "near-threshold", "--Q", 10, "--delta", huge,
+                              "--t", 0, "--out", tmp_path / "n.json"],
+            }[target]
+        assert run(argv) == 64
+        captured = capsys.readouterr()
+        assert captured.err == f"unanimity: error: {rejected}\n" and captured.out == ""
+
+
+class TestParserReuse:
+    """main builds its parser once per process and reuses it."""
+
+    def test_parser_is_built_once(self, ex23, tmp_path, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        counts = []
+        for argv in (["solve", ex23, "--out", tmp_path / "r.json"],
+                     ["verify", tmp_path / "r.json", ex23],
+                     ["solve", ex23, "--out", tmp_path / "r.json"]):
+            assert run(argv) == 0
+            counts.append(len(built))
+        assert built.count("unanimity") == 1 and counts == [counts[0]] * 3
+
+    def test_advice_does_not_carry_over(self, ex23, tmp_path):
+        hint = tmp_path / "hint.json"
+        hint.write_text(json.dumps(["1/4", "3/5", "3/20"]))
+        hinted, plain = tmp_path / "hinted.json", tmp_path / "plain.json"
+        assert run(["solve", ex23, "--advice-lottery", hint, "--out", hinted]) == 0
+        assert run(["solve", ex23, "--out", plain]) == 0
+        assert "AdviceCheck" in json.loads(hinted.read_text())["queries"]["per_category"]
+        assert "AdviceCheck" not in json.loads(plain.read_text())["queries"]["per_category"]
+
+    def test_usage_error_then_valid_command(self, ex23, tmp_path, capsys):
+        argv = ["solve", str(ex23), "--solver", "nope"]
+        with pytest.raises(SystemExit) as exc:
+            cli._build_parser.__wrapped__().parse_args(argv)
+        fresh = capsys.readouterr().err
+        assert exc.value.code == 64 and "invalid choice: 'nope'" in fresh
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 64 and capsys.readouterr().err == fresh
+        assert run(["solve", ex23, "--out", tmp_path / "r.json"]) == 0
+        assert capsys.readouterr().err == ""
+
 
 # Fuzz: replace one node of a valid report, instance or advice document with
 # an arbitrary small JSON value; the CLI must exit with a documented code.

@@ -40,11 +40,22 @@ class TestParsing:
         assert parse_rational("3/5") == F(3, 5)
         assert parse_rational("0.65") == F(13, 20)
         assert parse_rational(" 1 ") == 1
+        assert parse_rational("1e-1") == F(1, 10)
+        assert parse_rational(" 2.5E+1 ") == 25
+        assert parse_rational("1e-4300") == F(1, 10**4300)
+        assert parse_rational("1E4300") == 10**4300
 
     def test_rejects_garbage(self):
         for bad in ("", "x", "1/0", "3//4"):
             with pytest.raises(ValueError):
                 parse_rational(bad)
+
+    # Fraction computes 10**exp before any range check: "1e-999999999"
+    # would need about 415 MB and never return.
+    @pytest.mark.parametrize("bad", ["1e-4301", "1E+4301", "0.5e-10000000", "1e-999999999"])
+    def test_rejects_exponent_beyond_bound(self, bad):
+        with pytest.raises(ValueError, match="exponent beyond"):
+            parse_rational(bad)
 
     def test_canonical_output(self):
         assert format_rational(F(6, 10)) == "3/5"
