@@ -48,7 +48,6 @@ from unanimity.feasibility import (
 from unanimity.solvers import (
     Advice,
     SolveReport,
-    WeightVector,
     solve_baseline,
     solve_deterministic,
     solve_randomized,
@@ -76,7 +75,6 @@ __all__ = [
     "QueryCategory",
     "QueryLedger",
     "SolveReport",
-    "WeightVector",
     "edge_lottery",
     "exact_threshold",
     "exact_threshold_pred",

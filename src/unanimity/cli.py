@@ -27,7 +27,7 @@ from functools import cache
 from operator import mul
 
 from unanimity.core import Instance, Lottery, format_rational, parse_rational
-from unanimity.feasibility import ConstraintSet, normalized_row, select
+from unanimity.feasibility import feasible_full
 from unanimity.instances import FAMILIES, GeneratorSpec, generate, read_instance, write_instance
 from unanimity.oracle import Oracle
 from unanimity.solvers import Advice, SolveReport, solve_baseline, solve_deterministic, solve_randomized
@@ -185,7 +185,7 @@ def _cmd_solve(args) -> int:
         if ledger.trace_dropped:
             sys.stderr.write(
                 f"unanimity: warning: trace {args.trace} holds the first "
-                f"{ledger.trace_cap} of {ledger.total} queries; "
+                f"{len(ledger.trace)} of {ledger.total} queries; "
                 f"{ledger.trace_dropped} were not recorded\n")
     return EXIT_ACCEPTED if report.accepted else EXIT_NULL
 
@@ -216,9 +216,11 @@ def _verify_witness(witness, inst: Instance) -> list[str]:
                 or len(set(agents)) != len(agents)):
             return [f"helly witness {agents!r} is not at most m={inst.m} "
                     f"distinct agent indices in 1..{inst.n}"]
-        rows = [(i, normalized_row(*inst.grid_rows[i - 1])) for i in agents]
-        problems = [f"witness agent {i} accepts everything" for i, row in rows if row is None]
-        if not problems and select(ConstraintSet(inst.m, rows)) is not None:
+        rows = tuple(inst.grid_rows[i - 1] for i in agents)
+        problems = [f"witness agent {i} accepts everything"
+                    for i, (U, T) in zip(agents, rows) if min(U) >= T]
+        sub = Instance._from_grid_rows(inst.m, inst.inv_epsilon, rows)
+        if not problems and feasible_full(sub) is not None:
             problems.append("claimed witness subset is feasible")
         return problems
     return [f'Null report needs a "helly" or a "reject_all" witness, got {witness!r}']

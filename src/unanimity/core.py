@@ -57,7 +57,11 @@ def format_rational(value: Fraction) -> str:
 
 
 def _as_fraction(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+    """``value`` as a Fraction; a string goes through ``parse_rational``, so
+    its exponent is bounded there."""
+    if type(value) is Fraction:
+        return value
+    return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 
 def _as_fractions(values: Iterable) -> tuple[Fraction, ...]:
@@ -153,7 +157,7 @@ class Instance:
     grid_rows: tuple[tuple[tuple[int, ...], int], ...]
 
     def __init__(self, m: int, epsilon, agents: Sequence[AgentSpec]) -> None:
-        epsilon = Fraction(epsilon)
+        epsilon = _as_fraction(epsilon)
         if m < 1:
             raise ValueError("need at least one alternative")
         # In lowest terms, 1/epsilon is an integer >= 2 iff epsilon = 1/Q, Q >= 2.

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from unanimity.core import Lottery, edge_lottery, pairwise_projection
+from unanimity.core import Lottery, _as_fraction, edge_lottery, pairwise_projection
 from unanimity.oracle import Oracle, QueryCategory
 
 ZERO = Fraction(0)
@@ -96,7 +96,7 @@ def exact_threshold_pred(
     bracket the turning point in O(1 + log(1 + |alpha_hat - alpha*|/eps^2))
     queries before the usual bisection/reconstruction finish.
     """
-    alpha_hat = Fraction(alpha_hat)
+    alpha_hat = _as_fraction(alpha_hat)
     if not (ZERO <= alpha_hat <= ONE):
         raise ValueError("alpha_hat must lie in [0, 1]")
     eps = Fraction(o.epsilon)

@@ -25,6 +25,7 @@ from unanimity.core import (
     AgentSpec,
     Instance,
     Lottery,
+    _as_fraction,
     format_rational,
     parse_rational,
 )
@@ -171,7 +172,7 @@ def _gen_point_mass(params, rng):
 
 def _gen_near_threshold(params, rng):
     Q, delta, t = _require(params, "inv_epsilon", "delta", "t")
-    delta = Fraction(delta)
+    delta = _as_fraction(delta)
     if Q < 4:
         raise ValueError("near-threshold needs 1/epsilon >= 4")
     if delta <= 0:
@@ -276,9 +277,9 @@ def quantize(utilities: Sequence[Sequence], thresholds: Sequence, epsilon) -> In
     zero are clamped up to epsilon to stay positive (still within the
     epsilon sandwich, since the input threshold was positive).
     """
-    eps = Fraction(epsilon)
-    utilities = [[Fraction(u) for u in row] for row in utilities]
-    thresholds = [Fraction(t) for t in thresholds]
+    eps = _as_fraction(epsilon)
+    utilities = [[_as_fraction(u) for u in row] for row in utilities]
+    thresholds = [_as_fraction(t) for t in thresholds]
     if len(utilities) != len(thresholds):
         raise ValueError("one threshold per utility row required")
     agents = []

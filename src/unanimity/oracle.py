@@ -29,13 +29,17 @@ class QueryCategory(enum.Enum):
     __hash__ = object.__hash__
 
 
+# How many queries a captured trace keeps: the first TRACE_CAP.
+TRACE_CAP = 10_000
+
+
 @dataclass
 class QueryLedger:
     """Running counters for oracle calls, with an optional bounded trace.
 
     :meth:`Oracle.query` is the only writer: it counts every query here.
 
-    The trace keeps the first ``trace_cap`` queries; ``trace_dropped``
+    The trace keeps the first ``TRACE_CAP`` queries; ``trace_dropped``
     counts the queries past the cap that it did not keep.
     """
 
@@ -43,11 +47,10 @@ class QueryLedger:
     per_agent: dict[int, int] = field(default_factory=dict)
     per_category: dict[QueryCategory, int] = field(default_factory=dict)
     trace: Optional[list[tuple[int, QueryCategory, Lottery, bool]]] = None
-    trace_cap: int = 10_000
 
     @property
     def trace_dropped(self) -> int:
-        """Queries past ``trace_cap`` that the trace did not keep."""
+        """Queries past ``TRACE_CAP`` that the trace did not keep."""
         return 0 if self.trace is None else self.total - len(self.trace)
 
     def count(self, cat: QueryCategory) -> int:
@@ -77,17 +80,9 @@ class Oracle:
     ``n``, ``m``, ``epsilon``, and yes/no answers.
     """
 
-    def __init__(
-        self,
-        hidden: Instance,
-        *,
-        capture_trace: bool = False,
-        trace_cap: int = 10_000,
-    ) -> None:
+    def __init__(self, hidden: Instance, *, capture_trace: bool = False) -> None:
         self._hidden = hidden
-        self.ledger = QueryLedger(
-            trace=[] if capture_trace else None, trace_cap=trace_cap
-        )
+        self.ledger = QueryLedger(trace=[] if capture_trace else None)
 
     @property
     def n(self) -> int:
@@ -115,6 +110,6 @@ class Oracle:
         per_agent[i] = per_agent.get(i, 0) + 1
         per_category[cat] = per_category.get(cat, 0) + 1
         trace = ledger.trace
-        if trace is not None and len(trace) < ledger.trace_cap:
+        if trace is not None and len(trace) < TRACE_CAP:
             trace.append((i, cat, x, answer))
         return answer

@@ -21,7 +21,7 @@ search.  Bad advice costs extra queries, never correctness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
 
@@ -34,8 +34,6 @@ from unanimity.feasibility import (
 )
 from unanimity.geometry import learn_hyperplane
 from unanimity.oracle import Oracle, QueryCategory, QueryLedger
-
-RNG_ALGORITHM = "mt19937"
 
 
 @dataclass(frozen=True)
@@ -65,48 +63,28 @@ class Advice:
 
 
 @dataclass(frozen=True)
-class WeightVector:
-    """Exact integer sampling weights, one per agent, all >= 1."""
-
-    weights: dict[int, int]
-    total: int = field(init=False, repr=False, compare=False)
-
-    def __init__(self, weights: dict[int, int]) -> None:
-        weights = {int(i): int(w) for i, w in weights.items()}
-        if any(w < 1 for w in weights.values()):
-            raise ValueError("all weights must be >= 1")
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "total", sum(weights.values()))
-
-    def doubled(self, agents) -> "WeightVector":
-        """These agents' weights doubled.  Doubling keeps every weight an
-        int >= 1, so the result skips ``__init__``'s checks."""
-        out = dict(self.weights)
-        added = 0
-        for i in agents:
-            w = out[i]
-            out[i] = 2 * w
-            added += w
-        new = object.__new__(WeightVector)
-        object.__setattr__(new, "weights", out)
-        object.__setattr__(new, "total", self.total + added)
-        return new
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome plus full accounting for one solver run."""
 
-    accepted: bool
     lottery: Optional[Lottery]
     witness: Optional[HellyWitness]
     reject_all_agent: Optional[int]
     ledger: QueryLedger
     learned_agents: frozenset[int]
-    record_count: int
     iterations: int
     rng_seed: Optional[int] = None
-    rng_algorithm: Optional[str] = None
+
+    @property
+    def accepted(self) -> bool:
+        return self.lottery is not None
+
+    @property
+    def record_count(self) -> int:
+        return len(self.learned_agents)
+
+    @property
+    def rng_algorithm(self) -> Optional[str]:
+        return None if self.rng_seed is None else "mt19937"
 
     @property
     def outcome_kind(self) -> str:
@@ -144,16 +122,13 @@ def _report(o: Oracle, learned, iterations, lottery=None, witness=None,
             reject_all=None, seed=None) -> SolveReport:
     """Report a finished run: Accepted when ``lottery`` is given, else Null."""
     return SolveReport(
-        accepted=lottery is not None,
         lottery=lottery,
         witness=witness,
         reject_all_agent=reject_all,
         ledger=o.ledger,
         learned_agents=frozenset(learned),
-        record_count=len(learned),
         iterations=iterations,
         rng_seed=seed,
-        rng_algorithm=None if seed is None else RNG_ALGORITHM,
     )
 
 
@@ -231,21 +206,23 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
             return _report(o, learned, iterations, reject_all=violator)
 
 
-def weighted_sample(w: WeightVector, r_prime: int, rng: random.Random) -> dict[int, int]:
+def weighted_sample(weights: list[int], r_prime: int, rng: random.Random) -> dict[int, int]:
     """Draw r' copies without replacement from the weighted agent multiset.
 
     Sequential draws proportional to remaining copy counts -- an exact
     hypergeometric chain -- so the multiset (which can be astronomically
     large) is never materialized.  Returns sampled-copy counts per agent.
 
-    Remaining counts live in a Fenwick tree over the agents in ascending
-    index order, so each draw is O(log n) and a value ``t`` from
-    ``rng.randrange(total)`` picks the same agent as a running-sum scan
-    in that order: the first whose cumulative count exceeds ``t``.
+    ``weights[k - 1]`` is agent k's weight, an int >= 1.  Remaining counts
+    live in a Fenwick tree with agent k at position k, so each draw is
+    O(log n) and a value ``t`` from ``rng.randrange(total)`` picks the same
+    agent as a running-sum scan in agent order: the first whose cumulative
+    count exceeds ``t``.
     """
-    agents = sorted(w.weights)
-    size = len(agents)
-    prefix = list(accumulate((w.weights[i] for i in agents), initial=0))
+    if min(weights, default=1) < 1:
+        raise ValueError("all weights must be >= 1")
+    size = len(weights)
+    prefix = list(accumulate(weights, initial=0))
     total = prefix[-1]
     if r_prime > total:
         raise ValueError(f"cannot draw {r_prime} copies from a multiset of {total}")
@@ -264,9 +241,8 @@ def weighted_sample(w: WeightVector, r_prime: int, rng: random.Random) -> dict[i
                 pos = nxt
                 t -= tree[nxt]
             step >>= 1
-        i = agents[pos]
-        counts[i] = counts.get(i, 0) + 1
         k = pos + 1
+        counts[k] = counts.get(k, 0) + 1
         while k <= size:
             tree[k] -= 1
             k += k & -k
@@ -293,10 +269,12 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
     if advice.order is not None:
         if len(advice.order) != n:
             raise ValueError(f"order covers {len(advice.order)} agents, instance has {n}")
-        rank = {agent: pos for pos, agent in enumerate(advice.order, start=1)}
-        weights = WeightVector({i: -(-n // rank[i]) for i in range(1, n + 1)})
+        weights = [0] * n
+        for rank, agent in enumerate(advice.order, start=1):
+            weights[agent - 1] = -(-n // rank)
     else:
-        weights = WeightVector({i: 1 for i in range(1, n + 1)})
+        weights = [1] * n
+    total = sum(weights)
     warm = advice.x_hat
     learned: dict[int, Optional[tuple]] = {}
     iterations = 0
@@ -307,14 +285,14 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
 
     while True:
         iterations += 1
-        r_prime = min(r, weights.total)
+        r_prime = min(r, total)
         sampled = weighted_sample(weights, r_prime, rng)
         for i in sorted(sampled):
             if i not in learned:
                 row = learned[i] = learn_hyperplane(o, i, warm=warm)
                 if row is not None and not any(row):
                     return _report(o, learned, iterations, reject_all=i, seed=seed)
-        C = ConstraintSet(o.m, _rows(learned, restrict=set(sampled)))
+        C = ConstraintSet(o.m, _rows(learned, restrict=sampled))
         x = select(C)
         if x is None:
             return _report(o, learned, iterations, witness=helly_witness(C), seed=seed)
@@ -324,5 +302,7 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         ]
         if not violators:
             return _report(o, learned, iterations, lottery=x, seed=seed)
-        weights = weights.doubled(violators)
+        for i in violators:
+            total += weights[i - 1]
+            weights[i - 1] *= 2
 

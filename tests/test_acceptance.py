@@ -20,7 +20,6 @@ from unanimity import (
     Lottery,
     Oracle,
     QueryCategory,
-    WeightVector,
     exact_threshold,
     expected_utility,
     feasible_full,
@@ -268,22 +267,21 @@ def test_criterion_10_sampling_distribution():
     start = time.time()
     draws = 10_000
     vectors = [
-        ({1: 3, 2: 1}, 1),
-        ({1: 2, 2: 2, 3: 2}, 3),
-        ({1: 5, 2: 1, 3: 1, 4: 1}, 4),
-        ({1: 1, 2: 2, 3: 3, 4: 4, 5: 5}, 5),
-        ({1: 10, 2: 1}, 3),
+        ([3, 1], 1),
+        ([2, 2, 2], 3),
+        ([5, 1, 1, 1], 4),
+        ([1, 2, 3, 4, 5], 5),
+        ([10, 1], 3),
     ]
     ok = True
     pvals = []
     rng = random.Random(1234)
     for weights, r_prime in vectors:
-        w = WeightVector(weights)
-        W, w1 = w.total, weights[1]
+        W, w1 = sum(weights), weights[0]
         support = list(range(max(0, r_prime - (W - w1)), min(w1, r_prime) + 1))
         observed = {k: 0 for k in support}
         for _ in range(draws):
-            counts = weighted_sample(w, r_prime, rng)
+            counts = weighted_sample(weights, r_prime, rng)
             observed[counts.get(1, 0)] += 1
         expected = [draws * hypergeom.pmf(k, W, w1, r_prime) for k in support]
         p = chisquare([observed[k] for k in support], expected).pvalue

@@ -3,16 +3,14 @@
 import contextlib
 import copy
 import csv
-import functools
 import io
 import json
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unanimity import cli
+from unanimity import cli, oracle
 from unanimity.cli import main
-from unanimity.oracle import Oracle
 
 
 def run(argv):
@@ -128,7 +126,7 @@ class TestSolve:
         assert len(rows) > 1
 
     def test_trace_truncation_is_reported(self, ex23, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "Oracle", functools.partial(Oracle, trace_cap=4))
+        monkeypatch.setattr(oracle, "TRACE_CAP", 4)
         trace = tmp_path / "trace.csv"
         assert run(["solve", ex23, "--trace", trace, "--out", tmp_path / "r.json"]) == 0
         total = json.loads((tmp_path / "r.json").read_text())["queries"]["total"]
@@ -282,6 +280,24 @@ class TestVerify:
         rep.write_text(json.dumps(
             {"outcome": {"kind": "Accepted", "lottery": [0.25, 0.6, 0.15]}}))
         assert run(["verify", rep, ex23]) == 64
+
+    @pytest.mark.parametrize("u1,expected", [
+        # Agent 1 rejects every lottery: its normalized row is all zero.
+        (["1/10", "1/10"], 0),
+        (["1/10", "2/10"], 0),
+        # Agent 1 accepts every lottery, so it proves nothing.
+        (["3/10", "4/10"], 1),
+    ])
+    def test_helly_witness_of_one_agent(self, tmp_path, capsys, u1, expected):
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({"m": 2, "inv_epsilon": 10, "agents": [
+            {"u": u1, "tau": "3/10"}, {"u": ["1", "0"], "tau": "1/2"}]}))
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps({"outcome": {"kind": "Null", "witness": {"helly": [1]}}}))
+        assert run(["verify", rep, inst]) == expected
+        out = capsys.readouterr().out
+        assert out == ("pass\n" if expected == 0
+                       else "FAIL: witness agent 1 accepts everything\n")
 
     def test_false_null_detected(self, ex23, ex21, tmp_path):
         rep = tmp_path / "rep.json"

@@ -57,6 +57,18 @@ class TestParsing:
         with pytest.raises(ValueError, match="exponent beyond"):
             parse_rational(bad)
 
+    # The constructors parse string arguments with parse_rational, so a
+    # library caller meets the same bound as the command line.
+    @pytest.mark.parametrize("build", [
+        lambda s: Lottery([s, "1"]),
+        lambda s: AgentSpec([s, "1"], "1/2"),
+        lambda s: AgentSpec(["1", "0"], s),
+        lambda s: Instance(2, s, []),
+    ], ids=["lottery", "utility", "threshold", "epsilon"])
+    def test_constructors_bound_exponents(self, build):
+        with pytest.raises(ValueError, match="exponent beyond"):
+            build("1e-5000")
+
     def test_canonical_output(self):
         assert format_rational(F(6, 10)) == "3/5"
         assert format_rational(F(3, 1)) == "3"

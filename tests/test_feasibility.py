@@ -41,7 +41,7 @@ class TestConstraintSet:
             ConstraintSet(2, [(1, [1, 0]), (1, [0, 1])])
 
     def test_all_zero_row_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="agent 1: all-zero constraint row"):
             ConstraintSet(2, [(1, [0, 0])])
 
     def test_wrong_width_rejected(self):

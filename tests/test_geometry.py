@@ -211,6 +211,11 @@ class TestExactThresholdPred:
         with pytest.raises(ValueError):
             exact_threshold_pred(o, 1, 3, 1, F(3, 2))
 
+    def test_string_hint_exponent_bounded(self):
+        inst = Instance(2, F(1, 10), [AgentSpec([0, 1], "0.6")])
+        with pytest.raises(ValueError, match="exponent beyond"):
+            exact_threshold_pred(Oracle(inst), 1, 1, 2, "1e-5000")
+
 
 @pytest.mark.parametrize("solve", [solve_baseline, solve_deterministic])
 def test_grid_singleton_at_one_in_a_billion(solve):

@@ -162,6 +162,11 @@ class TestNearThreshold:
             generate(GeneratorSpec(
                 "near-threshold", {"inv_epsilon": 10, "delta": F(1, 25), "t": 99}))
 
+    def test_delta_exponent_bounded(self):
+        with pytest.raises(ValueError, match="exponent beyond"):
+            generate(GeneratorSpec(
+                "near-threshold", {"inv_epsilon": 10, "delta": "1e-5000", "t": 0}))
+
 
 class TestRandomFamilies:
     def test_random_feasible_witness_holds(self):
@@ -202,6 +207,15 @@ class TestQuantize:
     def test_tiny_threshold_clamped_positive(self):
         inst = quantize([["1"]], ["0.01"], F(1, 10))
         assert inst.agents[0].threshold == F(1, 10)
+
+    @pytest.mark.parametrize("args", [
+        ([["1e-5000", "1"]], ["1/2"], F(1, 10)),
+        ([["1", "0"]], ["1e-5000"], F(1, 10)),
+        ([["1", "0"]], ["1/2"], "1e-5000"),
+    ], ids=["utility", "threshold", "epsilon"])
+    def test_exponent_bounded(self, args):
+        with pytest.raises(ValueError, match="exponent beyond"):
+            quantize(*args)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from unanimity import oracle
 from unanimity import (
     Advice,
     AgentSpec,
@@ -116,15 +117,17 @@ class TestLedger:
         with pytest.raises(ValueError):
             o.ledger.write_trace_csv(io.StringIO())
 
-    def test_trace_cap(self):
-        o = Oracle(example_instance(), capture_trace=True, trace_cap=2)
+    def test_trace_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "TRACE_CAP", 2)
+        o = Oracle(example_instance(), capture_trace=True)
         for _ in range(5):
             o.query(1, Lottery.pure(1, 3), PV)
         assert len(o.ledger.trace) == 2 and o.ledger.total == 5
         assert o.ledger.trace_dropped == 3
 
-    def test_nothing_dropped_without_a_trace(self):
-        o = Oracle(example_instance(), trace_cap=2)
+    def test_nothing_dropped_without_a_trace(self, monkeypatch):
+        monkeypatch.setattr(oracle, "TRACE_CAP", 2)
+        o = Oracle(example_instance())
         for _ in range(5):
             o.query(1, Lottery.pure(1, 3), PV)
         assert o.ledger.trace_dropped == 0
@@ -165,14 +168,15 @@ class TestSingleEntryPoint:
             return original(self, i, x, cat)
 
         monkeypatch.setattr(Oracle, "query", counted)
+        monkeypatch.setattr(oracle, "TRACE_CAP", 50)
         for inst, solve in self.runs():
             calls.clear()
-            report = solve(Oracle(inst, capture_trace=True, trace_cap=50))
+            report = solve(Oracle(inst, capture_trace=True))
             ledger = report.ledger
             assert len(calls) == ledger.total > 0
             ledger.check()
             # Only categories that were asked appear, never a zero count.
             assert all(c > 0 for c in ledger.per_category.values())
-            # The trace keeps the first trace_cap queries, in order.
+            # The trace keeps the first TRACE_CAP queries, in order.
             assert [(i, cat, x) for i, cat, x, _ in ledger.trace] == calls[:50]
             assert ledger.trace_dropped == max(0, ledger.total - 50)

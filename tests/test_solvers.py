@@ -16,7 +16,6 @@ from unanimity import (
     Lottery,
     Oracle,
     QueryCategory,
-    WeightVector,
     expected_utility,
     feasible_full,
     generate,
@@ -25,6 +24,7 @@ from unanimity import (
     solve_randomized,
     weighted_sample,
 )
+from unanimity import solvers
 from unanimity.geometry import bisection_budget
 
 
@@ -189,6 +189,32 @@ class TestRandomized:
         assert report.accepted
         assert_sound(inst, report)
 
+    def test_weights_start_at_ceil_n_over_rank_and_double(self, monkeypatch):
+        # Each round samples by the agents' weights as they stand; between
+        # rounds the violators' weights double and the others stay.
+        seen = []
+
+        def spy(weights, r_prime, rng):
+            seen.append((list(weights), r_prime))
+            return weighted_sample(weights, r_prime, rng)
+
+        monkeypatch.setattr(solvers, "weighted_sample", spy)
+        inst, _, _ = generate(GeneratorSpec(
+            "random-feasible", {"n": 40, "m": 3, "inv_epsilon": 20, "seed": 4}))
+        order = tuple(range(40, 0, -1))  # agent i has rank 41 - i
+        rounds = 0
+        for seed in range(4):
+            seen.clear()
+            report = solve_randomized(Oracle(inst), Advice(order=order), seed=seed)
+            assert seen[0][0] == [-(-40 // (41 - i)) for i in range(1, 41)]
+            assert len(seen) == report.iterations
+            assert all(r_prime == min(64, sum(w)) for w, r_prime in seen)
+            for (before, _), (after, _) in zip(seen, seen[1:]):
+                assert all(b in (a, 2 * a) for a, b in zip(before, after))
+                assert after != before
+            rounds = max(rounds, len(seen))
+        assert rounds > 1
+
     def test_lottery_hint_short_circuit(self):
         inst = example_23()
         x_hat = Lottery(["0.25", "0.60", "0.15"])
@@ -202,10 +228,10 @@ class TestRandomized:
             solve_randomized(Oracle(inst), seed=0)
 
 
-def scan_weighted_sample(w: WeightVector, r_prime: int, rng: random.Random) -> dict[int, int]:
+def scan_weighted_sample(weights: list[int], r_prime: int, rng: random.Random) -> dict[int, int]:
     """Reference for ``weighted_sample``: each draw scans the agents in
     ascending index order for the first whose running count exceeds t."""
-    remaining = dict(sorted(w.weights.items()))
+    remaining = dict(enumerate(weights, start=1))
     total = sum(remaining.values())
     if r_prime > total:
         raise ValueError(f"cannot draw {r_prime} copies from a multiset of {total}")
@@ -227,66 +253,47 @@ def scan_weighted_sample(w: WeightVector, r_prime: int, rng: random.Random) -> d
 
 class TestWeightedSample:
     def test_exhaustive_sample(self):
-        w = WeightVector({1: 1, 2: 1})
-        counts = weighted_sample(w, 2, random.Random(0))
+        counts = weighted_sample([1, 1], 2, random.Random(0))
         assert counts == {1: 1, 2: 1}
 
     def test_full_multiset(self):
-        w = WeightVector({1: 2, 2: 2, 3: 2})
-        counts = weighted_sample(w, 6, random.Random(1))
+        counts = weighted_sample([2, 2, 2], 6, random.Random(1))
         assert counts == {1: 2, 2: 2, 3: 2}
 
     def test_single_draw_marginal(self):
         # P(agent 1) = 3/4: check the empirical rate over many draws.
         rng = random.Random(42)
-        w = WeightVector({1: 3, 2: 1})
-        hits = sum(1 in weighted_sample(w, 1, rng) for _ in range(4000))
+        hits = sum(1 in weighted_sample([3, 1], 1, rng) for _ in range(4000))
         assert abs(hits / 4000 - 0.75) < 0.03
 
     def test_copy_counts_capped_by_weights(self):
         rng = random.Random(9)
-        w = WeightVector({1: 2, 2: 5, 3: 1})
+        weights = [2, 5, 1]
         for _ in range(50):
-            counts = weighted_sample(w, 4, rng)
+            counts = weighted_sample(weights, 4, rng)
             assert sum(counts.values()) == 4
-            assert all(counts[i] <= w.weights[i] for i in counts)
+            assert all(counts[i] <= weights[i - 1] for i in counts)
 
     def test_overdraw_rejected(self):
         with pytest.raises(ValueError):
-            weighted_sample(WeightVector({1: 1}), 2, random.Random(0))
+            weighted_sample([1], 2, random.Random(0))
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.dictionaries(st.integers(1, 60),
-                        st.integers(1, 6) | st.integers(1, 2**70), min_size=1, max_size=40),
+        st.lists(st.integers(1, 6) | st.integers(1, 2**70), min_size=1, max_size=40),
         st.integers(0, 200),
         st.integers(0, 2**32),
     )
     def test_matches_running_sum_scan(self, weights, r_prime, seed):
-        w = WeightVector(weights)
-        r_prime = min(r_prime, w.total)
+        r_prime = min(r_prime, sum(weights))
         fast, slow = random.Random(seed), random.Random(seed)
-        assert weighted_sample(w, r_prime, fast) == scan_weighted_sample(w, r_prime, slow)
+        assert weighted_sample(weights, r_prime, fast) == scan_weighted_sample(weights, r_prime, slow)
         assert fast.getstate() == slow.getstate()
 
     def test_weight_vector_validation(self):
-        with pytest.raises(ValueError):
-            WeightVector({1: 0})
-        doubled = WeightVector({1: 1, 2: 3}).doubled([2])
-        assert doubled.weights == {1: 1, 2: 6}
-
-    @given(weights=st.lists(st.integers(1, 50), min_size=1, max_size=20), data=st.data())
-    def test_doubled_matches_a_validated_vector(self, weights, data):
-        w = WeightVector(dict(enumerate(weights, start=1)))
-        for _ in range(3):
-            before = dict(w.weights)
-            agents = data.draw(st.lists(st.sampled_from(sorted(before)), unique=True))
-            doubled = w.doubled(agents)
-            expected = WeightVector({i: 2 * c if i in agents else c for i, c in before.items()})
-            assert doubled == expected and doubled.total == expected.total
-            assert doubled.total == sum(doubled.weights.values())
-            assert w.weights == before
-            w = doubled
+        for weights in ([0], [3, 0, 2], [1, -1]):
+            with pytest.raises(ValueError, match="weights must be >= 1"):
+                weighted_sample(weights, 0, random.Random(0))
 
 
 DEGENERATE_KINDS = ("one-alternative", "no-agents", "accept-all", "turning-at-one",
