@@ -98,7 +98,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--advice-lottery", help="JSON file: list of rational strings")
     b.add_argument("--seeds", type=int, default=1,
                    help="run seeds 0..N-1 for the randomized solver")
-    b.add_argument("--format", choices=["csv"], default="csv")
     b.add_argument("--out", required=True, help="CSV path (appended, never rewritten)")
     return p
 
@@ -166,13 +165,36 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _dumps_indented(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)`` for dicts with string keys, lists and
+    JSON scalars.
+
+    With ``indent`` set, ``json.dumps`` runs CPython's pure-Python encoder.
+    Here each container that holds only scalars is one call of the C
+    encoder, with the newline and indentation folded into its item
+    separator, so a report's per-agent map is a single C call.
+    """
+    if not obj or not isinstance(obj, (dict, list)):
+        return json.dumps(obj)
+    inner = indent + "  "
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(isinstance(v, (dict, list)) for v in values):
+        text = json.dumps(obj, separators=("," + inner, ": "))
+        return text[0] + inner + text[1:-1] + indent + text[-1]
+    if isinstance(obj, dict):
+        items = [json.dumps(k) + ": " + _dumps_indented(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    items = [_dumps_indented(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + indent + "]"
+
+
 def _cmd_solve(args) -> int:
     inst = read_instance(args.instance)
     advice = _load_advice(args.advice_perm, args.advice_lottery)
     report = _run_solver(inst, args.solver, advice, args.seed,
                          capture_trace=bool(args.trace))
     doc = report.to_json_dict()
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _dumps_indented(doc) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -243,7 +265,9 @@ def _verify_report(doc, inst: Instance) -> list[str]:
         x = Lottery([parse_rational(t) for t in lottery])
         if x.m != inst.m:
             raise ValueError(f"dimension mismatch: instance has {inst.m}, lottery {x.m}")
-        # Instance.accepts for every agent, with x's integer form read once.
+        # The oracle's membership test for every agent, inline and without
+        # the oracle, so verify judges the solver independently; x's integer
+        # form is read once.
         P, D = x.scaled
         return [f"agent {i} rejects the reported lottery"
                 for i, (U, T) in enumerate(inst.grid_rows, start=1)

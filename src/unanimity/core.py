@@ -9,9 +9,9 @@ An instance stores its agents as integer rows and nothing else: every
 utility and threshold is a multiple of epsilon, so in units of epsilon
 they are ints.  A lottery carries its coordinates over one common
 denominator, so the membership test ``<u_i, x> >= tau_i``
-(:meth:`Instance.accepts`) compares exact integers and builds no Fraction
-per query.  ``AgentSpec`` is the rational form of an agent: instances are
-built from it, and ``Instance.agents`` gives it back as a view.
+(:meth:`unanimity.oracle.Oracle.query`) compares exact integers and builds
+no Fraction per query.  ``AgentSpec`` is the rational form of an agent:
+instances are built from it, and ``Instance.agents`` gives it back as a view.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import mul
 from typing import Iterable, Sequence
 
 ZERO = Fraction(0)
@@ -148,7 +147,7 @@ class Instance:
     instance holds them as integers in units of epsilon: ``grid_rows[i - 1]``
     is agent i's ``(U, T)`` with ``U_j = u_j / epsilon`` in 0..1/epsilon and
     ``T = tau_i / epsilon`` in 1..1/epsilon.  These rows are all it stores;
-    :meth:`accepts` decides membership on them, and ``agents`` is an
+    the oracle decides membership on them, and ``agents`` is an
     :class:`AgentSpec` view built on first access.
     """
 
@@ -214,22 +213,6 @@ class Instance:
     @property
     def inv_epsilon(self) -> int:
         return self.epsilon.denominator
-
-    def accepts(self, i: int, x: Lottery) -> bool:
-        """Does agent ``i`` (1-based) accept ``x``, i.e. <u_i, x> >= tau_i?
-
-        With (U, T) the agent's grid row and x = P/D, the test is
-        sum_j U_j P_j >= T D, decided exactly over Python ints.
-        ``expected_utility`` is the Fraction reference for the same test.
-        """
-        rows = self.grid_rows
-        if not 1 <= i <= len(rows):
-            raise IndexError(f"agent index {i} out of range 1..{len(rows)}")
-        U, T = rows[i - 1]
-        P, D = x.scaled
-        if len(P) != len(U):
-            raise ValueError(f"dimension mismatch: agent has {len(U)}, lottery {len(P)}")
-        return sum(map(mul, U, P)) >= T * D
 
 
 def expected_utility(agent: AgentSpec, x: Lottery) -> Fraction:

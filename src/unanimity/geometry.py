@@ -139,8 +139,9 @@ def learn_hyperplane(
     m = o.m
     accepted: list[int] = []
     rejected: list[int] = []
+    query, cat = o.query, QueryCategory.PURE_VERTEX
     for j in range(1, m + 1):
-        if o.query(i, Lottery.pure(j, m), QueryCategory.PURE_VERTEX):
+        if query(i, Lottery.pure(j, m), cat):
             accepted.append(j)
         else:
             rejected.append(j)

@@ -365,15 +365,17 @@ def read_instance(path) -> Instance:
         # become keys (parse_rational rejects the rest); an unhashable value
         # is a TypeError.
         units = _Memo(lambda text: _grid_units(text, Q))
+        to_units = units.__getitem__
         rows = []
         for idx, a in enumerate(agents, start=1):
             # A string or an object "u" would iterate its characters or keys.
-            if not (isinstance(a, dict) and isinstance(a.get("u"), list)):
+            # json.load builds plain dicts and lists, so exact type tests do.
+            if not (type(a) is dict and type(u := a.get("u")) is list):
                 raise TypeError(f'agent {idx}: want {{"u": [...], "tau": ...}}')
-            u, tau = a["u"], a["tau"]
+            tau = a["tau"]
             try:
-                U = tuple(map(units.__getitem__, u))
-                T = units[tau]
+                U = tuple(map(to_units, u))
+                T = to_units(tau)
             except ValueError as exc:
                 # The first value not in the table is the one that failed.
                 where, text = next(((f"utility for alternative {j}", text)

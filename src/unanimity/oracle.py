@@ -3,7 +3,8 @@
 The oracle is the only channel through which a solver may observe agent
 preferences.  Every call is counted -- there is no transparent caching, so
 query totals reflect oracle calls exactly.  Answers come from a hidden
-:class:`~unanimity.core.Instance`.
+:class:`~unanimity.core.Instance`: the oracle decides membership on its
+integer ``grid_rows`` itself.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
+from operator import mul
 from typing import IO, Optional
 
 from unanimity.core import Instance, Lottery, format_rational
@@ -38,15 +40,27 @@ class QueryLedger:
     """Running counters for oracle calls, with an optional bounded trace.
 
     :meth:`Oracle.query` is the only writer: it counts every query here.
+    ``agent_counts[i]`` is agent i's count (slot 0 is unused), so a query
+    costs one list increment and one ``per_category`` update; the total and
+    the per-agent map are derived from those two.  ``per_category`` keeps
+    the order in which categories were first asked.
 
     The trace keeps the first ``TRACE_CAP`` queries; ``trace_dropped``
     counts the queries past the cap that it did not keep.
     """
 
-    total: int = 0
-    per_agent: dict[int, int] = field(default_factory=dict)
+    agent_counts: list[int] = field(default_factory=lambda: [0])
     per_category: dict[QueryCategory, int] = field(default_factory=dict)
     trace: Optional[list[tuple[int, QueryCategory, Lottery, bool]]] = None
+
+    @property
+    def total(self) -> int:
+        return sum(self.per_category.values())
+
+    @property
+    def per_agent(self) -> dict[int, int]:
+        """Query counts of the agents asked, in ascending agent order."""
+        return {i: c for i, c in enumerate(self.agent_counts) if c}
 
     @property
     def trace_dropped(self) -> int:
@@ -58,8 +72,8 @@ class QueryLedger:
 
     def check(self) -> None:
         """Assert the internal consistency invariant."""
-        assert self.total == sum(self.per_agent.values())
-        assert self.total == sum(self.per_category.values())
+        assert self.agent_counts[0] == 0
+        assert self.total == sum(self.agent_counts)
 
     def write_trace_csv(self, fh: IO[str]) -> None:
         if self.trace is None:
@@ -82,7 +96,9 @@ class Oracle:
 
     def __init__(self, hidden: Instance, *, capture_trace: bool = False) -> None:
         self._hidden = hidden
-        self.ledger = QueryLedger(trace=[] if capture_trace else None)
+        self._rows = hidden.grid_rows
+        self.ledger = QueryLedger([0] * (hidden.n + 1),
+                                  trace=[] if capture_trace else None)
 
     @property
     def n(self) -> int:
@@ -99,15 +115,24 @@ class Oracle:
     def query(self, i: int, x: Lottery, cat: QueryCategory) -> bool:
         """Ask agent ``i`` (1-based) whether it accepts lottery ``x``.
 
+        With (U, T) the agent's grid row and x = P/D, the agent accepts iff
+        sum_j U_j P_j >= T D, decided exactly over Python ints;
+        ``expected_utility`` is the Fraction reference for the same test.
         Raises IndexError for an agent outside 1..n and ValueError for a
-        lottery of the wrong dimension (see :meth:`Instance.accepts`).
+        lottery of the wrong dimension.
         """
-        answer = self._hidden.accepts(i, x)
+        rows = self._rows
+        if not 1 <= i <= len(rows):
+            raise IndexError(f"agent index {i} out of range 1..{len(rows)}")
+        U, T = rows[i - 1]
+        P, D = x.scaled
+        if len(P) != len(U):
+            raise ValueError(f"dimension mismatch: agent has {len(U)}, lottery {len(P)}")
+        answer = sum(map(mul, U, P)) >= T * D
         # The ledger update, inline: this is the hot path of every scan.
         ledger = self.ledger
-        ledger.total += 1
-        per_agent, per_category = ledger.per_agent, ledger.per_category
-        per_agent[i] = per_agent.get(i, 0) + 1
+        ledger.agent_counts[i] += 1
+        per_category = ledger.per_category
         per_category[cat] = per_category.get(cat, 0) + 1
         trace = ledger.trace
         if trace is not None and len(trace) < TRACE_CAP:

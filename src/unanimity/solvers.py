@@ -106,7 +106,7 @@ class SolveReport:
             "outcome": outcome,
             "queries": {
                 "total": self.ledger.total,
-                "per_agent": {str(i): c for i, c in sorted(self.ledger.per_agent.items())},
+                "per_agent": {str(i): c for i, c in enumerate(self.ledger.agent_counts) if c},
                 "per_category": {cat.value: c for cat, c in self.ledger.per_category.items()},
             },
             "learned_agents": sorted(self.learned_agents),
@@ -139,10 +139,15 @@ def _rows(learned: dict[int, Optional[tuple]], restrict=None) -> list:
 
 
 def _check_hint(o: Oracle, x_hat: Lottery) -> bool:
-    """Ask every agent about the hint (no short-circuit): exactly n queries."""
+    """Ask every agent about the hint (no short-circuit): exactly n queries.
+    A hint of the wrong dimension is a ValueError, even with no agent to ask."""
+    if x_hat.m != o.m:
+        raise ValueError(f"dimension mismatch: instance has {o.m}, lottery hint {x_hat.m}")
+    # Bound once per scan: an enum member lookup costs about ten local reads.
+    query, cat = o.query, QueryCategory.ADVICE_CHECK
     unanimous = True
     for i in range(1, o.n + 1):
-        if not o.query(i, x_hat, QueryCategory.ADVICE_CHECK):
+        if not query(i, x_hat, cat):
             unanimous = False
     return unanimous
 
@@ -186,6 +191,7 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
         if _check_hint(o, warm):
             return _report(o, learned, iterations, lottery=warm)
 
+    query, cat = o.query, QueryCategory.VERIFICATION
     while True:
         iterations += 1
         C = ConstraintSet(o.m, _rows(learned))
@@ -196,7 +202,7 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
         for i in order:
             if i in learned:
                 continue
-            if not o.query(i, x, QueryCategory.VERIFICATION):
+            if not query(i, x, cat):
                 violator = i
                 break
         if violator is None:
@@ -283,6 +289,7 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         if _check_hint(o, warm):
             return _report(o, learned, iterations, lottery=warm, seed=seed)
 
+    query, cat = o.query, QueryCategory.VERIFICATION
     while True:
         iterations += 1
         r_prime = min(r, total)
@@ -296,10 +303,7 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         x = select(C)
         if x is None:
             return _report(o, learned, iterations, witness=helly_witness(C), seed=seed)
-        violators = [
-            i for i in range(1, n + 1)
-            if not o.query(i, x, QueryCategory.VERIFICATION)
-        ]
+        violators = [i for i in range(1, n + 1) if not query(i, x, cat)]
         if not violators:
             return _report(o, learned, iterations, lottery=x, seed=seed)
         for i in violators:

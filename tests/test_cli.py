@@ -7,7 +7,7 @@ import io
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from unanimity import cli, oracle
 from unanimity.cli import main
@@ -112,6 +112,16 @@ class TestSolve:
         assert run(["solve", ex23, "--advice-lottery", hint]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["queries"]["total"] == 3  # perfect hint: one query per agent
+
+    def test_lottery_advice_of_wrong_dimension_exits_usage(self, tmp_path, capsys):
+        # No agent is asked about the hint, so no query can notice the mismatch.
+        inst, hint, rep = tmp_path / "i.json", tmp_path / "hint.json", tmp_path / "r.json"
+        inst.write_text(json.dumps({"m": 3, "inv_epsilon": 10, "agents": []}))
+        hint.write_text(json.dumps(["1/2", "1/2"]))
+        assert run(["solve", inst, "--solver", "deterministic", "--advice-lottery", hint,
+                    "--out", rep]) == 64
+        assert "dimension mismatch: instance has 3, lottery hint 2" in capsys.readouterr().err
+        assert not rep.exists()
 
     def test_perm_advice_file(self, ex23, tmp_path, capsys):
         perm = tmp_path / "perm.json"
@@ -357,6 +367,39 @@ class TestBench:
         err = capsys.readouterr().err
         assert f"--seeds must be >= 1 (got {seeds})" in err and "Traceback" not in err
         assert not out.exists()
+
+
+    def test_format_option_is_gone(self, ex23, tmp_path, capsys):
+        out = tmp_path / "bench.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["bench", ex23, "--format", "csv", "--out", out])
+        assert exc.value.code == 64
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestReportText:
+    """``_dumps_indented`` is ``json.dumps(obj, indent=2)``, byte for byte."""
+
+    _LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                        st.text(max_size=6))
+    _DOCS = st.recursive(
+        _LEAVES,
+        lambda kids: st.one_of(st.lists(kids, max_size=4),
+                               st.dictionaries(st.text(max_size=4), kids, max_size=4)),
+        max_leaves=20,
+    )
+
+    @settings(max_examples=300)
+    @given(_DOCS)
+    @example({})
+    @example({"a": {}, "b": [], "c": [[]]})
+    @example([{"\u00e9": "\u00fc\u2603"}, None, 1.5, True])
+    @example({"outcome": {"kind": "Accepted", "lottery": ["1/2", "1/2"]},
+              "queries": {"total": 3, "per_agent": {str(i): 1 for i in range(1, 4)},
+                          "per_category": {"Verification": 3}}})
+    def test_matches_json_dumps_indent_2(self, doc):
+        assert cli._dumps_indented(doc) == json.dumps(doc, indent=2)
 
 
 class TestHugeExponent:

@@ -9,6 +9,8 @@ from unanimity import (
     AgentSpec,
     Instance,
     Lottery,
+    Oracle,
+    QueryCategory,
     edge_lottery,
     expected_utility,
     format_rational,
@@ -244,19 +246,25 @@ def grid_cases(draw):
     return Instance(m, F(1, Q), agents), x, boundary
 
 
+def accepts(inst: Instance, i: int, x: Lottery) -> bool:
+    return Oracle(inst).query(i, x, QueryCategory.VERIFICATION)
+
+
 class TestAcceptsAgainstExpectedUtility:
-    """``Instance.accepts`` decides <u_i, x> >= tau_i over integers; the
+    """``Oracle.query`` decides <u_i, x> >= tau_i over integers; the
     Fraction inner product ``expected_utility`` is its reference."""
 
     @settings(max_examples=300)
     @given(grid_cases())
     def test_matches_reference(self, case):
         inst, x, boundary = case
+        o = Oracle(inst)
         for i, agent in enumerate(inst.agents, start=1):
-            assert inst.accepts(i, x) == (expected_utility(agent, x) >= agent.threshold)
+            assert o.query(i, x, QueryCategory.VERIFICATION) == \
+                (expected_utility(agent, x) >= agent.threshold)
         for i in boundary:
             assert expected_utility(inst.agents[i - 1], x) == inst.agents[i - 1].threshold
-            assert inst.accepts(i, x)
+            assert accepts(inst, i, x)
 
     def test_threshold_one_step_above_the_boundary_rejects(self):
         inst = Instance(2, F(1, 10), [
@@ -264,17 +272,20 @@ class TestAcceptsAgainstExpectedUtility:
             AgentSpec([F(3, 10), F(7, 10)], F(3, 5)),
         ])
         x = Lottery([F(1, 2), F(1, 2)])  # <u, x> = 1/2 exactly
-        assert inst.accepts(1, x) and not inst.accepts(2, x)
+        assert accepts(inst, 1, x) and not accepts(inst, 2, x)
 
     def test_one_alternative(self):
         inst = Instance(1, F(1, 4), [AgentSpec([F(3, 4)], F(3, 4)), AgentSpec([F(1, 2)], F(3, 4))])
-        assert inst.accepts(1, Lottery([1])) and not inst.accepts(2, Lottery([1]))
+        assert accepts(inst, 1, Lottery([1])) and not accepts(inst, 2, Lottery([1]))
 
     def test_bad_agent_index_and_dimension(self):
         inst = Instance(2, F(1, 10), [AgentSpec([1, 0], F(1, 2))])
+        o = Oracle(inst)
         for i in (0, -1, 2):
-            with pytest.raises(IndexError):
-                inst.accepts(i, Lottery.pure(1, 2))
+            with pytest.raises(IndexError, match=f"agent index {i} out of range 1..1"):
+                o.query(i, Lottery.pure(1, 2), QueryCategory.VERIFICATION)
         for m in (1, 3):
-            with pytest.raises(ValueError, match="dimension mismatch"):
-                inst.accepts(1, Lottery.pure(1, m))
+            with pytest.raises(ValueError, match=f"dimension mismatch: agent has 2, lottery {m}"):
+                o.query(1, Lottery.pure(1, m), QueryCategory.VERIFICATION)
+        # A refused query is not counted.
+        assert o.ledger.total == 0 and o.ledger.per_agent == {}

@@ -362,4 +362,4 @@ class TestLearnedRowAgainstClosedForm:
                 probes += [edge_lottery(k, j, F(1, 2), m) for k in rejected for j in accepted]
                 for x in probes:
                     assert row_accepts(row, x) == row_accepts(expected, x)
-                    assert row_accepts(row, x) == inst.accepts(1, x)
+                    assert row_accepts(row, x) == Oracle(inst).query(1, x, TS)

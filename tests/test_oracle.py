@@ -96,6 +96,18 @@ class TestLedger:
         assert o.ledger.per_category == {PV: 2, VER: 1}
         o.ledger.check()
 
+    def test_per_agent_lists_agents_asked_in_ascending_order(self):
+        inst = Instance(2, F(1, 10), [AgentSpec([1, 0], "0.5")] * 6)
+        o = Oracle(inst)
+        for i, cat in ((5, VER), (2, PV), (5, PV), (3, VER), (2, VER)):
+            o.query(i, Lottery.pure(1, 2), cat)
+        ledger = o.ledger
+        assert list(ledger.per_agent.items()) == [(2, 2), (3, 1), (5, 2)]
+        assert list(ledger.per_category) == [VER, PV]  # first asked first
+        assert ledger.total == sum(ledger.per_category.values()) == 5
+        assert ledger.agent_counts == [0, 0, 2, 1, 0, 2, 0]
+        ledger.check()
+
     def test_learn_hyperplane_query_bound(self):
         # m=3, 1/eps=10: at most 3 vertex queries + 2 searches of <= 8 each.
         o = Oracle(example_instance())

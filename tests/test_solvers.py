@@ -149,6 +149,14 @@ class TestDeterministic:
         with pytest.raises(ValueError):
             solve_deterministic(Oracle(example_23()), Advice(order=(1, 2)))
 
+    @pytest.mark.parametrize("agents", [[], [AgentSpec([1, 0, 0], "0.5")]])
+    def test_lottery_hint_of_wrong_dimension(self, agents):
+        # Without agents no query would notice the mismatch.
+        o = Oracle(Instance(3, F(1, 10), agents))
+        with pytest.raises(ValueError, match="dimension mismatch: instance has 3, lottery hint 2"):
+            solve_deterministic(o, Advice(x_hat=Lottery(["1/2", "1/2"])))
+        assert o.ledger.total == 0
+
 
 class TestAdviceValidation:
     def test_order_must_be_permutation(self):
