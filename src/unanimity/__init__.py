@@ -17,8 +17,9 @@ The package provides:
 * instance generators and a JSON file format in :mod:`instances`,
 * a command line harness in :mod:`cli` (``python -m unanimity ...``).
 
-All arithmetic is exact (``fractions.Fraction``); no floating point is used
-anywhere in the decision path.
+All arithmetic is exact: Python ints (instances, oracle answers and the
+LP's constraint rows and pivots) and ``fractions.Fraction`` (lotteries and
+turning points); no floating point is used anywhere in the decision path.
 """
 
 from unanimity.core import (

@@ -1,10 +1,12 @@
 """Exact feasibility over learned constraints: Select, witnesses, brute force.
 
-Constraints have the normalized form <c, x> >= 1 over the probability
-simplex.  ``select`` returns the lexicographically maximum feasible lottery,
-or None when the rows are infeasible; ``helly_witness`` shrinks an
-infeasible set to a minimal infeasible subset of at most m owners; and
-``feasible_full`` decides a known instance without any oracle queries.
+A constraint is an integer row (a, b) meaning <a, x> >= b over the
+probability simplex, in the form ``learn_hyperplane`` returns and
+``feasible_full`` reads off an instance's grid.  ``select`` returns the
+lexicographically maximum feasible lottery, or None when the rows are
+infeasible; ``helly_witness`` shrinks an infeasible set to a minimal
+infeasible subset of at most m owners; and ``feasible_full`` decides a
+known instance without any oracle queries.
 
 The LP engine is the dual simplex of Seidel (1991) over one m-by-m basis,
 with the integer pivoting of Avis's lrs: Python ints for the basis inverse
@@ -15,7 +17,6 @@ returned lottery holds Fractions.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -25,28 +26,33 @@ from unanimity.core import Instance, Lottery
 
 @dataclass(frozen=True)
 class ConstraintSet:
-    """Halfspace rows <c, x> >= 1 over the m-simplex, one row per owner."""
+    """Integer halfspace rows (a, b), <a, x> >= b over the m-simplex, one
+    row per owner."""
 
     m: int
-    rows: tuple[tuple[int, tuple[Fraction, ...]], ...]
+    rows: tuple[tuple[int, tuple[tuple[int, ...], int]], ...]
 
-    def __init__(self, m: int, rows: Sequence[tuple[int, Sequence]]) -> None:
+    def __init__(self, m: int, rows: Sequence[tuple[int, tuple[Sequence[int], int]]]) -> None:
         if m < 1:
             raise ValueError("need at least one alternative")
         packed = []
         seen: set[int] = set()
-        for owner, coeffs in rows:
-            coeffs = tuple(Fraction(c) for c in coeffs)
-            if len(coeffs) != m:
-                raise ValueError(f"row for agent {owner} has {len(coeffs)} coefficients, expected {m}")
+        for owner, (a, b) in rows:
+            a = tuple(a)
+            if len(a) != m:
+                raise ValueError(f"row for agent {owner} has {len(a)} coefficients, expected {m}")
             if owner in seen:
                 raise ValueError(f"agent {owner} owns more than one row")
-            if all(c == 0 for c in coeffs):
-                # <0, x> >= 1 is RejectAll in disguise; solvers must surface
+            # Plain ints only: select's Bareiss // would silently floor a
+            # Fraction, and a fixed-width integer could overflow.
+            if {type(b), *map(type, a)} != {int}:
+                raise ValueError(f"agent {owner}: constraint row entries must be ints")
+            if not any(a):
+                # <0, x> >= b > 0 is RejectAll in disguise; solvers must surface
                 # that as a Null outcome before ever building an LP.
                 raise ValueError(f"agent {owner}: all-zero constraint row")
             seen.add(owner)
-            packed.append((owner, coeffs))
+            packed.append((owner, (a, b)))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "rows", tuple(packed))
 
@@ -77,12 +83,9 @@ def select(C: ConstraintSet) -> Optional[Lottery]:
     Issues zero oracle queries.
     """
     m = C.m
-    # Every constraint as integers <a, x> >= b: the bounds, then each row
-    # scaled once by the lcm L of its denominators.
+    # Every constraint <a, x> >= b: the bounds x_j >= 0, then the rows.
     cons = [([int(i == j) for i in range(m)], 0) for j in range(m)]
-    for _, coeffs in C.rows:
-        L = math.lcm(*(c.denominator for c in coeffs))
-        cons.append(([c.numerator * (L // c.denominator) for c in coeffs], L))
+    cons += [row for _, row in C.rows]
     # Start at e_1 with x_2..x_m >= 0 tight, whose edges are e_j - e_1.
     cols = [[1] + [0] * (m - 1)] + [[-1] + [int(i == j) for i in range(1, m)] for j in range(1, m)]
     det = 1
@@ -134,33 +137,20 @@ def helly_witness(C: ConstraintSet) -> HellyWitness:
     return HellyWitness(agents=frozenset(kept))
 
 
-def normalized_row(utilities: Sequence, threshold) -> Optional[tuple[Fraction, ...]]:
-    """The halfspace of an agent with these utilities and threshold, as
-    c_j = (u_j - u_r)/(tau - u_r), r = first rejected vertex; None when the
-    agent accepts every pure lottery.
-
-    The row is scale-free, so an instance's grid row (U, T) in units of
-    epsilon gives the same Fractions as the agent's (u, tau).
-    """
-    r = next((j for j, u in enumerate(utilities) if u < threshold), None)
-    if r is None:
-        return None
-    u_r = utilities[r]
-    return tuple(Fraction(u - u_r, threshold - u_r) for u in utilities)
-
-
 def feasible_full(inst: Instance) -> Optional[Lottery]:
     """Zero-query ground truth: decide the instance from its hidden data.
 
     Skips agents that accept everything, short-circuits None on an
     agent that rejects every pure lottery, and otherwise runs select over
-    the normalized rows.
+    the grid rows (U - U_r, T - U_r), r the agent's first rejected vertex.
+    On the simplex <U - U_r, x> = <U, x> - U_r, so each row accepts exactly
+    its agent's lotteries.
     """
     rows = []
     for idx, (U, T) in enumerate(inst.grid_rows, start=1):
         if max(U) < T:
             return None
-        row = normalized_row(U, T)
-        if row is not None:
-            rows.append((idx, row))
+        U_r = next((u for u in U if u < T), None)
+        if U_r is not None:
+            rows.append((idx, (tuple(u - U_r for u in U), T - U_r)))
     return select(ConstraintSet(inst.m, rows))

@@ -9,16 +9,17 @@ reconstruction recovers it exactly with zero further queries: the
 continued-fraction best approximation of the bracket's midpoint
 (``Fraction.limit_denominator``), O(log 1/epsilon) steps.
 
-``learn_hyperplane`` stitches m - 1 turning points into a normalized
-coefficient row c with acceptance test <c, x> >= 1.  The degenerate
-outcomes keep the same form: None for AcceptAll (no constraint), the
-all-zero row for RejectAll (no lottery passes).  A warm-start lottery, when
-supplied, seeds every turning-point search with its pairwise projection
-onto the edge.
+``learn_hyperplane`` stitches m - 1 turning points into an integer row
+(a, b) with acceptance test <a, x> >= b, the form the LP layer pivots on.
+The degenerate outcomes keep that form: None for AcceptAll (no constraint),
+((0, ..., 0), 1) for RejectAll (no lottery passes).  A warm-start lottery,
+when supplied, seeds every turning-point search with its pairwise
+projection onto the edge.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional
 
@@ -120,12 +121,14 @@ def exact_threshold_pred(
 
 def learn_hyperplane(
     o: Oracle, i: int, warm: Optional[Lottery] = None
-) -> Optional[tuple[Fraction, ...]]:
+) -> Optional[tuple[tuple[int, ...], int]]:
     """Elicit agent i's acceptable halfspace with membership queries only.
 
-    Returns the normalized row c with acceptance test <c, x> >= 1; None
-    when the agent accepts every pure lottery (AcceptAll), and the all-zero
-    row, which no lottery satisfies, when it rejects every one (RejectAll).
+    Returns the integer row (a, b) with acceptance test <a, x> >= b, in
+    lowest terms: the rational row c of <c, x> >= 1 scaled by the lcm L of
+    its denominators, so a = L c and b = L.  None when the agent accepts
+    every pure lottery (AcceptAll), and ((0, ..., 0), 1), which no lottery
+    satisfies, when it rejects every one (RejectAll).
 
     Queries all m pure lotteries first (PureVertex), then locates m - 1
     turning points: one per accepted vertex from a fixed rejected pivot r,
@@ -149,7 +152,7 @@ def learn_hyperplane(
     if not rejected:
         return None
     if not accepted:
-        return (ZERO,) * m
+        return (0,) * m, 1
 
     def turning(k: int, kprime: int) -> Fraction:
         if warm is None:
@@ -175,4 +178,5 @@ def learn_hyperplane(
                 continue
             alpha_ka = turning(k, a)
             coeffs[k - 1] = (1 - alpha_ka * c_a) / (1 - alpha_ka)
-    return tuple(coeffs)
+    L = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(c.numerator * (L // c.denominator) for c in coeffs), L

@@ -161,7 +161,7 @@ def solve_baseline(o: Oracle) -> SolveReport:
     learned: dict[int, Optional[tuple]] = {}
     for i in range(1, o.n + 1):
         row = learned[i] = learn_hyperplane(o, i)
-        if row is not None and not any(row):
+        if row is not None and not any(row[0]):
             return _report(o, learned, 0, reject_all=i)
     C = ConstraintSet(o.m, _rows(learned))
     x = select(C)
@@ -208,7 +208,7 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
         if violator is None:
             return _report(o, learned, iterations, lottery=x)
         row = learned[violator] = learn_hyperplane(o, violator, warm=warm)
-        if row is not None and not any(row):
+        if row is not None and not any(row[0]):
             return _report(o, learned, iterations, reject_all=violator)
 
 
@@ -259,19 +259,17 @@ def weighted_sample(weights: list[int], r_prime: int, rng: random.Random) -> dic
 def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> SolveReport:
     """Weighted constraint sampling with multiplicative weight doubling.
 
-    Each round samples r = 16(m-1)^2 agent copies, learns any sampled
-    agents not yet known, solves the sampled subproblem, and verifies the
-    candidate against all n agents; every violator's weight doubles.  The
-    outcome is correct for every seed -- randomness affects only the query
-    count.  A predicted ordering biases the initial weights toward
-    early-ranked agents; a predicted lottery is verified up front and
-    warm-starts elicitation.
+    Each round samples r = 16(m-1)^2 agent copies (one when m = 1), learns
+    any sampled agents not yet known, solves the sampled subproblem, and
+    verifies the candidate against all n agents; every violator's weight
+    doubles.  The outcome is correct for every seed and every n >= 0 --
+    randomness affects only the query count.  A predicted ordering biases
+    the initial weights toward early-ranked agents; a predicted lottery is
+    verified up front and warm-starts elicitation.
     """
     n, m = o.n, o.m
-    if n < 1 or m < 2:
-        raise ValueError("randomized solver requires n >= 1 and m >= 2")
     rng = random.Random(seed)
-    r = 16 * (m - 1) ** 2
+    r = max(1, 16 * (m - 1) ** 2)
     if advice.order is not None:
         if len(advice.order) != n:
             raise ValueError(f"order covers {len(advice.order)} agents, instance has {n}")
@@ -297,7 +295,7 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         for i in sorted(sampled):
             if i not in learned:
                 row = learned[i] = learn_hyperplane(o, i, warm=warm)
-                if row is not None and not any(row):
+                if row is not None and not any(row[0]):
                     return _report(o, learned, iterations, reject_all=i, seed=seed)
         C = ConstraintSet(o.m, _rows(learned, restrict=sampled))
         x = select(C)

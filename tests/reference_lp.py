@@ -5,7 +5,8 @@ production ``select`` and ``helly_witness`` are checked against.  It
 maximizes x_1 with a fresh two-phase simplex, pins x_1 as an equality
 row, maximizes x_2 from scratch, and so on: m phase-1 solves per answer.
 Slow, but each pass is an independent textbook LP, so it shares no
-lexicographic bookkeeping with the code under test.
+lexicographic bookkeeping with the code under test.  It reads each integer
+row (a, b) as the Fraction row a/b of <c, x> >= 1 and pivots in Fractions.
 """
 
 from fractions import Fraction
@@ -108,8 +109,9 @@ def _standard_form(C: ConstraintSet):
     nvars = m + k
     A = [[ONE] * m + [ZERO] * k]
     b = [ONE]
-    for idx, (_, coeffs) in enumerate(C.rows):
-        row = list(coeffs) + [ZERO] * k
+    for idx, (_, (a, rhs)) in enumerate(C.rows):
+        # The integer row <a, x> >= rhs, read as <a / rhs, x> >= 1.
+        row = [Fraction(v, rhs) for v in a] + [ZERO] * k
         row[m + idx] = -ONE
         A.append(row)
         b.append(ONE)

@@ -5,6 +5,8 @@ m-by-m dual simplex replaced it, kept verbatim as an exact oracle.  It runs
 one phase 1 and then a lexicographic pass per coordinate over an integer
 tableau with Bareiss pivots, so it shares no code with the engine under
 test, yet unlike the m-solve ``reference_lp`` it stays fast at 40-60 rows.
+It reads each integer row (a, b) as the Fraction row a/b of <c, x> >= 1
+and scales that back to integers by its own lcm.
 """
 
 import math
@@ -68,7 +70,8 @@ def select(C: ConstraintSet) -> Optional[Lottery]:
     # denominators.  Its surplus column stays -1 (the surplus is L s_i):
     # scaling a column by L > 0 keeps the pivot path and keeps L out of d.
     rows = [[1] * m + [0] * k + [1]]
-    for idx, (_, coeffs) in enumerate(C.rows):
+    for idx, (_, (a, b)) in enumerate(C.rows):
+        coeffs = [Fraction(v, b) for v in a]  # <a, x> >= b read as <c, x> >= 1
         L = math.lcm(*(c.denominator for c in coeffs))
         rows.append([c.numerator * (L // c.denominator) for c in coeffs]
                     + [-1 if s == idx else 0 for s in range(k)] + [L])

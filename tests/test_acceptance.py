@@ -207,7 +207,8 @@ def test_criterion_7_perfect_lottery_advice():
                   for k in (1, 2, 3) if k not in accepted for kp in accepted)
         o = Oracle(inst)
         row = learn_hyperplane(o, 1, warm=uniform3)
-        ok &= sum(c * p for c, p in zip(row, uniform3.probs)) < 1
+        a, b = row
+        ok &= sum(c * p for c, p in zip(a, uniform3.probs)) < b
         ok &= o.ledger.total <= 3 + 4 * 2
     elapsed = time.time() - start
     report(7, ok, "perfect hints finish in exactly n queries on 50 instances; "

@@ -123,6 +123,23 @@ class TestSolve:
         assert "dimension mismatch: instance has 3, lottery hint 2" in capsys.readouterr().err
         assert not rep.exists()
 
+    @pytest.mark.parametrize("doc, lottery", [
+        ({"m": 3, "inv_epsilon": 10, "agents": []}, ["1", "0", "0"]),
+        ({"m": 1, "inv_epsilon": 10, "agents": [{"u": ["1/2"], "tau": "1/10"}]}, ["1"]),
+    ])
+    def test_every_solver_decides_no_agents_and_one_alternative(self, tmp_path, capsys,
+                                                                 doc, lottery):
+        inst = tmp_path / "i.json"
+        inst.write_text(json.dumps(doc))
+        for solver in ("baseline", "deterministic", "randomized"):
+            assert run(["solve", inst, "--solver", solver]) == 0, solver
+            report = json.loads(capsys.readouterr().out)
+            assert report["outcome"] == {"kind": "Accepted", "lottery": lottery}
+        out = tmp_path / "bench.csv"
+        assert run(["bench", inst, "--out", out]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert [row["outcome"] for row in rows] == ["Accepted"] * 3
+
     def test_perm_advice_file(self, ex23, tmp_path, capsys):
         perm = tmp_path / "perm.json"
         perm.write_text("[3, 1, 2]")

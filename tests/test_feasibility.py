@@ -1,6 +1,7 @@
 """Tests for exact selection, infeasibility witnesses, and brute force."""
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,18 +13,32 @@ from tableau_lp import select as select_tableau
 from unanimity import (
     AgentSpec,
     ConstraintSet,
+    GeneratorSpec,
     HellyWitness,
     Instance,
     Lottery,
     expected_utility,
     feasible_full,
+    generate,
     helly_witness,
     select,
 )
 
 
+def rational_rows(m: int, rows) -> ConstraintSet:
+    """A ConstraintSet from rows written as (owner, c), each meaning
+    <c, x> >= 1 with rational c: scaled by the lcm L of c's denominators,
+    that is the integer row (L c, L)."""
+    packed = []
+    for owner, c in rows:
+        c = [F(v) for v in c]
+        L = math.lcm(*(v.denominator for v in c))
+        packed.append((owner, (tuple(int(v * L) for v in c), L)))
+    return ConstraintSet(m, packed)
+
+
 def example_rows() -> ConstraintSet:
-    return ConstraintSet(3, [
+    return rational_rows(3, [
         (1, [2, 1, 0]),
         (2, [0, F(8, 5), F(3, 5)]),
         (3, [0, 0, 8]),
@@ -32,21 +47,32 @@ def example_rows() -> ConstraintSet:
 
 def opposing_rows() -> ConstraintSet:
     # x_1 >= 3/5 and x_2 >= 3/5 cannot hold together on the 1-simplex.
-    return ConstraintSet(2, [(1, [F(5, 3), 0]), (2, [0, F(5, 3)])])
+    return rational_rows(2, [(1, [F(5, 3), 0]), (2, [0, F(5, 3)])])
 
 
 class TestConstraintSet:
     def test_duplicate_owner_rejected(self):
         with pytest.raises(ValueError):
-            ConstraintSet(2, [(1, [1, 0]), (1, [0, 1])])
+            ConstraintSet(2, [(1, ((1, 0), 1)), (1, ((0, 1), 1))])
 
     def test_all_zero_row_rejected(self):
         with pytest.raises(ValueError, match="agent 1: all-zero constraint row"):
-            ConstraintSet(2, [(1, [0, 0])])
+            ConstraintSet(2, [(1, ((0, 0), 1))])
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError):
-            ConstraintSet(3, [(1, [1, 0])])
+            ConstraintSet(3, [(1, ((1, 0), 1))])
+
+    @pytest.mark.parametrize("row", [
+        ((F(1, 2), 1), 1),
+        ((1, 1), F(1)),
+        ((1.0, 0), 1),
+        ((1, 0), 0.5),
+    ])
+    def test_non_integer_entry_rejected(self, row):
+        # F(1) too: the check is on the type, since // would floor any Fraction.
+        with pytest.raises(ValueError, match="agent 7: constraint row entries must be ints"):
+            ConstraintSet(2, [(1, ((1, 0), 1)), (7, row)])
 
     def test_restrict(self):
         C = example_rows()
@@ -66,15 +92,15 @@ class TestSelect:
     def test_feasible_point_satisfies_all_rows(self):
         C = example_rows()
         x = select(C)
-        for _, coeffs in C.rows:
-            assert sum(c * p for c, p in zip(coeffs, x.probs)) >= 1
+        for _, (a, b) in C.rows:
+            assert sum(c * p for c, p in zip(a, x.probs)) >= b
 
     def test_idempotent_and_stable_under_satisfied_rows(self):
         C = example_rows()
         x = select(C)
         assert select(C) == x
         # Appending a row x already satisfies cannot change the optimum.
-        widened = ConstraintSet(3, list(C.rows) + [(9, [1, 1, 1])])
+        widened = ConstraintSet(3, list(C.rows) + [(9, ((1, 1, 1), 1))])
         assert select(widened) == x
 
     def test_lexmax_dominates_grid_feasible_points(self):
@@ -85,7 +111,7 @@ class TestSelect:
         for a, b in itertools.combinations(range(1, Q + 2), 2):
             parts = (a - 1, b - a, Q + 1 - b)
             x = tuple(F(p, Q) for p in parts)
-            ok = all(sum(c * p for c, p in zip(coeffs, x)) >= 1 for _, coeffs in C.rows)
+            ok = all(sum(c * p for c, p in zip(a, x)) >= b for _, (a, b) in C.rows)
             if ok:
                 assert x <= best
 
@@ -105,7 +131,7 @@ class TestHellyWitness:
         def cap_row(j):
             return [F(4, 3) if k != j else 0 for k in range(3)]
 
-        C = ConstraintSet(3, [(i + 1, cap_row(i)) for i in range(3)])
+        C = rational_rows(3, [(i + 1, cap_row(i)) for i in range(3)])
         for pair in itertools.combinations([1, 2, 3], 2):
             assert select(C.restrict(pair)) is not None
         w = helly_witness(C)
@@ -121,7 +147,7 @@ class TestHellyWitness:
                 coeffs = [F(rng.randint(0, 8), 4) for _ in range(m)]
                 if any(coeffs):
                     rows.append((i, coeffs))
-            C = ConstraintSet(m, rows)
+            C = rational_rows(m, rows)
             if select(C) is not None:
                 continue
             built += 1
@@ -205,7 +231,7 @@ def constraint_sets(draw, max_m=5, max_rows=7, coeff=QUARTERS, planted=False):
             coeffs = [c + shift for c in coeffs]
         if any(coeffs):
             rows.append((owner, coeffs))
-    return ConstraintSet(m, rows)
+    return rational_rows(m, rows)
 
 
 def pinned_rows(seed: int, m: int, k: int, gap: F = F(0)) -> ConstraintSet:
@@ -222,7 +248,7 @@ def pinned_rows(seed: int, m: int, k: int, gap: F = F(0)) -> ConstraintSet:
         c = [F(rng.randint(-2 * 10**9, 3 * 10**9), rng.randint(1, 10**9)) for _ in range(m)]
         dot = sum(a * b for a, b in zip(c, p))
         rows.append((owner, [a / dot for a in c] if dot else [1] * m))
-    return ConstraintSet(m, rows)
+    return rational_rows(m, rows)
 
 
 def assert_matches_reference(C: ConstraintSet) -> None:
@@ -237,15 +263,15 @@ class TestAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(constraint_sets())
-    @example(ConstraintSet(1, []))
-    @example(ConstraintSet(1, [(1, [1])]))
-    @example(ConstraintSet(1, [(1, [F(1, 2)])]))
-    @example(ConstraintSet(3, []))
-    @example(ConstraintSet(3, [(1, [1, 1, 1]), (2, [1, 1, 1]), (3, [0, 0, 8])]))
-    @example(ConstraintSet(3, [(1, [2, 1, 0]), (2, [2, 1, 0]), (3, [0, F(8, 5), F(3, 5)])]))
-    @example(ConstraintSet(3, [(1, [0, F(4, 3), F(4, 3)]), (2, [F(4, 3), 0, F(4, 3)]),
+    @example(rational_rows(1, []))
+    @example(rational_rows(1, [(1, [1])]))
+    @example(rational_rows(1, [(1, [F(1, 2)])]))
+    @example(rational_rows(3, []))
+    @example(rational_rows(3, [(1, [1, 1, 1]), (2, [1, 1, 1]), (3, [0, 0, 8])]))
+    @example(rational_rows(3, [(1, [2, 1, 0]), (2, [2, 1, 0]), (3, [0, F(8, 5), F(3, 5)])]))
+    @example(rational_rows(3, [(1, [0, F(4, 3), F(4, 3)]), (2, [F(4, 3), 0, F(4, 3)]),
                                (3, [F(4, 3), F(4, 3), 0])]))
-    @example(ConstraintSet(3, [(1, [1, 0, 0]), (2, [1, -1, 2]), (3, [1, 3, -1]),
+    @example(rational_rows(3, [(1, [1, 0, 0]), (2, [1, -1, 2]), (3, [1, 3, -1]),
                                (4, [0, F(5, 3), 0])]))
     def test_select_and_witness_match_reference(self, C):
         assert_matches_reference(C)
@@ -280,8 +306,8 @@ class TestLargePinnedSets:
     @pytest.mark.parametrize("seed, m, k", [(5, 6, 40), (7, 4, 44), (8, 3, 40)])
     def test_select_returns_the_planted_point(self, seed, m, k):
         C = pinned_rows(seed, m, k)
-        # Row j + 1 is x_j >= p_j, so its only nonzero coefficient is 1/p_j.
-        p = [1 / C.rows[j][1][j] for j in range(m)]
+        # Row j + 1 is x_j >= p_j, written a_j x_j >= b, so p_j = b / a_j.
+        p = [F(b, a[j]) for j, (_, (a, b)) in enumerate(C.rows[:m])]
         assert select(C) == Lottery(p) == select_tableau(C)
 
     @pytest.mark.parametrize("seed, m, k, gap", [
@@ -297,3 +323,46 @@ class TestLargePinnedSets:
         assert select(C.restrict(w)) is None
         for drop in w:
             assert select(C.restrict(w - {drop})) is not None
+
+
+class TestScaleInvariance:
+    """A row (a, b) and (k a, k b) with k > 0 are the same halfspace, and
+    scaling a constraint changes no pivot of select: which constraint is
+    violated first, the sign of each edge's slope and the ratio order are
+    all scale-free.  Rows are therefore stored as given, never reduced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_positive_multiples_change_nothing(self, data):
+        C = data.draw(constraint_sets(max_rows=10, planted=True))
+        multipliers = st.one_of(st.just(1), st.integers(2, 10**12))
+        ks = data.draw(st.lists(multipliers, min_size=len(C.rows), max_size=len(C.rows)))
+        scaled = ConstraintSet(C.m, [(owner, (tuple(k * v for v in a), k * b))
+                                     for (owner, (a, b)), k in zip(C.rows, ks)])
+        x = select(C)
+        assert select(scaled) == x
+        if x is None:
+            assert helly_witness(scaled).agents == helly_witness(C).agents
+
+
+class TestLargeWitness:
+    """An LP with hundreds of rows: random-infeasible n=400, m=8, 1/eps=50,
+    seed 1, with the AcceptAll and RejectAll agents dropped, leaves 322
+    grid rows (U - U_r, T - U_r), r each agent's first rejected vertex."""
+
+    def test_witness_is_a_minimal_pair(self):
+        inst, _, _ = generate(GeneratorSpec(
+            "random-infeasible", {"n": 400, "m": 8, "inv_epsilon": 50, "seed": 1}))
+        rows = []
+        for owner, (U, T) in enumerate(inst.grid_rows, start=1):
+            if min(U) < T <= max(U):
+                U_r = next(u for u in U if u < T)
+                rows.append((owner, ([u - U_r for u in U], T - U_r)))
+        C = ConstraintSet(8, rows)
+        assert len(C.rows) == 322
+        assert select(C) is None
+        w = helly_witness(C).agents
+        assert w == {393, 394}
+        assert select(C.restrict(w)) is None
+        for owner in w:
+            assert select(C.restrict({owner})) is not None

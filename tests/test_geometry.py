@@ -25,7 +25,6 @@ from unanimity import (
     solve_baseline,
     solve_deterministic,
 )
-from unanimity.feasibility import normalized_row
 from unanimity.geometry import bisection_budget
 
 TS = QueryCategory.THRESHOLD_SEARCH
@@ -53,9 +52,9 @@ def closed_form(agent, k, kprime) -> F:
 
 
 def row_accepts(row, x: Lottery) -> bool:
-    """Reference acceptance test of a learned row <c, x> >= 1; None (an
-    AcceptAll agent) accepts everything, the zero row nothing."""
-    return row is None or sum(c * p for c, p in zip(row, x.probs)) >= 1
+    """Reference acceptance test of a learned row (a, b), <a, x> >= b; None
+    (an AcceptAll agent) accepts everything, ((0, ..., 0), 1) nothing."""
+    return row is None or sum(c * p for c, p in zip(row[0], x.probs)) >= row[1]
 
 
 def rejected_accepted_pairs(agent):
@@ -241,11 +240,11 @@ def sample_lotteries(m, count=200, seed=5):
 class TestLearnHyperplane:
     def test_worked_example_agent1(self):
         o = Oracle(example_instance())
-        assert learn_hyperplane(o, 1) == (2, 1, 0)
+        assert learn_hyperplane(o, 1) == ((2, 1, 0), 1)
 
     def test_worked_example_agent3(self):
         o = Oracle(example_instance())
-        assert learn_hyperplane(o, 3) == (0, 0, 8)
+        assert learn_hyperplane(o, 3) == ((0, 0, 8), 1)
 
     def test_accept_all_and_reject_all(self):
         inst = Instance(2, F(1, 4), [
@@ -254,19 +253,19 @@ class TestLearnHyperplane:
         ])
         o = Oracle(inst)
         assert learn_hyperplane(o, 1) is None
-        assert learn_hyperplane(o, 2) == (0, 0)
+        assert learn_hyperplane(o, 2) == ((0, 0), 1)
 
     def test_rejected_pivot_coefficient_is_zero(self):
         o = Oracle(example_instance())
         row = learn_hyperplane(o, 1)
-        assert row[2] == 0  # vertex 3 is agent 1's first rejected vertex
+        assert row[0][2] == 0  # vertex 3 is agent 1's first rejected vertex
 
     def test_all_alpha_one_branch(self):
         # Boundary through the accepted vertices: u=(1,0), tau=1 on m=2.
         inst = Instance(2, F(1, 2), [AgentSpec([1, 0], 1)])
         o = Oracle(inst)
         row = learn_hyperplane(o, 1)
-        assert row == (1, 0)
+        assert row == ((1, 0), 1)
         assert row_accepts(row, Lottery.pure(1, 2))
         assert not row_accepts(row, Lottery([F(1, 2), F(1, 2)]))
 
@@ -334,29 +333,43 @@ def grid_lotteries(m):
     return weights.map(lambda w: Lottery([F(a, sum(w)) for a in w]))
 
 
+def reduced_grid_row(inst: Instance):
+    """Agent 1's grid row (U - U_r, T - U_r), r its first rejected vertex,
+    divided by its gcd; None when it rejects no vertex."""
+    U, T = inst.grid_rows[0]
+    U_r = next((u for u in U if u < T), None)
+    if U_r is None:
+        return None
+    a, b = [u - U_r for u in U], T - U_r
+    g = math.gcd(*a, b)
+    return tuple(v // g for v in a), b // g
+
+
 class TestLearnedRowAgainstClosedForm:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_cold_and_warm_rows_match_normalized_row(self, data):
+        """The learned row is the agent's grid row in lowest terms, except
+        in the face case, where it must accept the same lotteries."""
         agent, Q = data.draw(grid_agents())
         m = agent.m
         inst = Instance(m, F(1, Q), [agent])
         warm = data.draw(grid_lotteries(m))
         accepted = [j for j in range(1, m + 1) if agent.utilities[j - 1] >= agent.threshold]
         rejected = [j for j in range(1, m + 1) if j not in accepted]
-        expected = normalized_row(agent.utilities, agent.threshold)
+        expected = reduced_grid_row(inst)
         for row in (learn_hyperplane(Oracle(inst), 1),
                     learn_hyperplane(Oracle(inst), 1, warm=warm)):
             if not rejected:
                 assert row is None and expected is None
             elif not accepted:
-                assert row == (0,) * m
+                assert row == ((0,) * m, 1)
             elif any(closed_form(agent, rejected[0], j) < 1 for j in accepted):
                 assert row == expected
             else:
                 # Face case: the rows may differ off the accepted face, but
                 # both accept exactly the lotteries supported on it.
-                assert row is not None and any(row)
+                assert row is not None and any(row[0])
                 probes = [warm, *data.draw(st.lists(grid_lotteries(m), max_size=10))]
                 probes += [Lottery.pure(j, m) for j in range(1, m + 1)]
                 probes += [edge_lottery(k, j, F(1, 2), m) for k in rejected for j in accepted]
