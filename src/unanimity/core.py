@@ -11,7 +11,8 @@ they are ints.  A lottery carries its coordinates over one common
 denominator, so the membership test ``<u_i, x> >= tau_i``
 (:meth:`unanimity.oracle.Oracle.query`) compares exact integers and builds
 no Fraction per query.  ``AgentSpec`` is the rational form of an agent:
-instances are built from it, and ``Instance.agents`` gives it back as a view.
+instances can be built from it, and ``Instance.agents`` gives it back as a
+view; the file reader and the generators build the integer rows directly.
 """
 
 from __future__ import annotations
@@ -192,7 +193,9 @@ class Instance:
     def _from_grid_rows(cls, m: int, inv_epsilon: int, rows: tuple) -> "Instance":
         """An instance over rows its caller has already checked: m >= 1,
         1/epsilon >= 2, and per agent m ints U_j in 0..1/epsilon and an int
-        T in 1..1/epsilon.  For readers that validate while parsing."""
+        T in 1..1/epsilon, as a tuple of ``(U, T)`` with U a tuple.  For
+        readers that validate while parsing and for generators that draw
+        their rows on the grid."""
         inst = object.__new__(cls)
         object.__setattr__(inst, "m", m)
         object.__setattr__(inst, "epsilon", Fraction(1, inv_epsilon))

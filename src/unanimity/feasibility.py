@@ -60,8 +60,13 @@ class ConstraintSet:
         return tuple(owner for owner, _ in self.rows)
 
     def restrict(self, owners) -> "ConstraintSet":
+        """The rows owned by ``owners``, in this set's order.  They were
+        checked when this set was built, so they are not checked again."""
         keep = set(owners)
-        return ConstraintSet(self.m, [row for row in self.rows if row[0] in keep])
+        sub = object.__new__(ConstraintSet)
+        object.__setattr__(sub, "m", self.m)
+        object.__setattr__(sub, "rows", tuple(row for row in self.rows if row[0] in keep))
+        return sub
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,15 @@ output against these tags without crossing the oracle boundary.  The
 near-threshold family additionally emits the lottery hint its analysis
 prescribes.
 
+The random and padded families draw each agent straight into its integer
+row ``(U, T)`` in units of epsilon, the form :class:`Instance` stores, so
+they build no Fraction or ``AgentSpec`` per agent.
+
 Also here: quantization of arbitrary rational instances onto the epsilon
-grid, and a lossless JSON file format.
+grid, and a lossless JSON file format.  ``write_instance`` writes exactly
+the bytes of ``json.dumps(doc, indent=2)``, from the JSON text of each
+distinct value laid out per agent, without CPython's pure-Python indenting
+encoder.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from unanimity.core import (
@@ -90,12 +98,6 @@ def _grid_lottery(rng: random.Random, m: int, Q: int) -> Lottery:
     return Lottery([Fraction(p, Q) for p in parts])
 
 
-def _random_agent(rng: random.Random, m: int, Q: int) -> AgentSpec:
-    u = [Fraction(rng.randint(0, Q), Q) for _ in range(m)]
-    tau = Fraction(rng.randint(1, Q), Q)
-    return AgentSpec(u, tau)
-
-
 def _gen_example_2_3(params, rng):
     inst = Instance(3, Fraction(1, 10), [
         AgentSpec(["1", "0.6", "0.2"], "0.6"),
@@ -114,21 +116,23 @@ def _gen_example_2_1(params, rng):
     return inst, GroundTruth(False), None
 
 
-def _singleton_core(m: int, Q: int, x: Lottery) -> list[AgentSpec]:
-    """m agents pinning the feasible set to exactly {x}: agent i cares only
-    about alternative i and demands x_i of it."""
-    eps = Fraction(1, Q)
+def _singleton_rows(m: int, Q: int, x: Lottery) -> list[tuple[tuple[int, ...], int]]:
+    """The grid rows of m agents pinning the feasible set to exactly {x}:
+    agent i cares only about alternative i and demands x_i of it."""
     if x.m != m:
         raise ValueError(f"grid point has {x.m} coordinates, expected {m}")
+    rows = []
     for j, p in enumerate(x.probs, start=1):
-        if p <= 0 or (p / eps).denominator != 1:
+        # In lowest terms, p is a positive multiple of 1/Q iff p > 0 and its
+        # denominator divides Q; it is then p * Q units.
+        if p <= 0 or Q % p.denominator:
             raise ValueError(
                 f"coordinate {j} of the planted point must be a positive multiple of 1/{Q}"
             )
-    return [
-        AgentSpec([ONE if j == i else ZERO for j in range(m)], x[i])
-        for i in range(m)
-    ]
+        U = [0] * m
+        U[j - 1] = Q
+        rows.append((tuple(U), p.numerator * (Q // p.denominator)))
+    return rows
 
 
 def _gen_grid_singleton(params, rng):
@@ -143,7 +147,7 @@ def _gen_grid_singleton(params, rng):
         )
     x = params.get("x")
     x = Lottery(x) if x is not None else _grid_lottery(rng, m, Q)
-    inst = Instance(m, Fraction(1, Q), _singleton_core(m, Q, x))
+    inst = Instance._from_grid_rows(m, Q, tuple(_singleton_rows(m, Q, x)))
     return inst, GroundTruth(True, x, unique=True), None
 
 
@@ -153,10 +157,9 @@ def _gen_dummy_padded(params, rng):
         raise ValueError(f"dummy-padded needs n >= m (got n={n}, m={m})")
     x = params.get("x")
     x = Lottery(x) if x is not None else _grid_lottery(rng, m, Q)
-    agents = _singleton_core(m, Q, x)
     # Padding: agents that accept every lottery (all utilities 1, tau 1).
-    agents += [AgentSpec([ONE] * m, ONE) for _ in range(n - m)]
-    inst = Instance(m, Fraction(1, Q), agents)
+    rows = _singleton_rows(m, Q, x) + [((Q,) * m, Q)] * (n - m)
+    inst = Instance._from_grid_rows(m, Q, tuple(rows))
     return inst, GroundTruth(True, x, unique=True), None
 
 
@@ -198,33 +201,31 @@ def _gen_near_threshold(params, rng):
 def _gen_random_feasible(params, rng):
     n, m, Q = _require(params, "n", "m", "inv_epsilon")
     x = _grid_lottery(rng, m, Q)
-    eps = Fraction(1, Q)
-    agents = []
+    P, D = x.scaled
+    rows = []
     for _ in range(n):
         while True:
-            u = [Fraction(rng.randint(0, Q), Q) for _ in range(m)]
-            value = sum((ui * p for ui, p in zip(u, x.probs)), ZERO)
-            ceiling = int(value / eps)  # largest grid threshold still accepting x
+            U = tuple([rng.randint(0, Q) for _ in range(m)])
+            # <U/Q, P/D> in units of 1/Q, rounded down: the largest grid
+            # threshold that still accepts x.
+            ceiling = sum(map(mul, U, P)) // D
             if ceiling >= 1:
                 break
-        tau = Fraction(rng.randint(1, ceiling), Q)
-        agents.append(AgentSpec(u, tau))
-    return Instance(m, eps, agents), GroundTruth(True, x), None
+        rows.append((U, rng.randint(1, ceiling)))
+    return Instance._from_grid_rows(m, Q, tuple(rows)), GroundTruth(True, x), None
 
 
 def _gen_random_infeasible(params, rng):
     n, m, Q = _require(params, "n", "m", "inv_epsilon")
     if n < 2 or m < 2:
         raise ValueError("random-infeasible needs n >= 2 and m >= 2")
-    eps = Fraction(1, Q)
-    tau0 = (Q // 2 + 1) * eps
-    # Agents 1 and 2 demand x_1 >= tau0 and x_1 <= 1 - tau0 < tau0 respectively.
-    agents = [
-        AgentSpec([ONE] + [ZERO] * (m - 1), tau0),
-        AgentSpec([ZERO] + [ONE] * (m - 1), tau0),
-    ]
-    agents += [_random_agent(rng, m, Q) for _ in range(n - 2)]
-    return Instance(m, eps, agents), GroundTruth(False), None
+    T0 = Q // 2 + 1
+    # Agents 1 and 2 demand x_1 >= T0/Q and x_1 <= 1 - T0/Q < T0/Q respectively.
+    rows = [((Q,) + (0,) * (m - 1), T0), ((0,) + (Q,) * (m - 1), T0)]
+    for _ in range(n - 2):
+        U = tuple([rng.randint(0, Q) for _ in range(m)])
+        rows.append((U, rng.randint(1, Q)))
+    return Instance._from_grid_rows(m, Q, tuple(rows)), GroundTruth(False), None
 
 
 # Each family's generator and the parameters it reads besides ``seed``.
@@ -246,13 +247,20 @@ def generate(spec: GeneratorSpec) -> tuple[Instance, GroundTruth, Optional[Advic
     Returns (instance, ground truth, advice) where advice is None unless
     the family prescribes a hint (near-threshold).  Every family accepts an
     integer ``seed`` parameter (default 0), and a parameter the family does
-    not read is rejected.  ``n`` must be >= 0, ``m`` >= 1, and an
-    ``inv_epsilon`` parameter an integer >= 2.
+    not read is rejected.  ``n``, ``m``, ``j``, ``t`` and ``seed`` must be
+    ints (not bools), ``n`` >= 0 and ``m`` >= 1, and an ``inv_epsilon``
+    parameter an integer >= 2; anything else is a ValueError.
     """
     gen, reads = _GENERATORS[spec.family]
     unread = sorted(set(spec.params) - set(reads) - {"seed"})
     if unread:
         raise ValueError(f"{spec.family} does not read parameter(s): {', '.join(unread)}")
+    for name in ("n", "m", "j", "t", "seed"):
+        # bool is an int subclass, and a float or string count would fail
+        # later with a TypeError, or be used as it is.
+        if name in spec.params and type(spec.params[name]) is not int:
+            raise ValueError(f"parameter {name} must be an integer "
+                             f"(got {spec.params[name]!r})")
     if spec.params.get("n", 0) < 0:
         raise ValueError(f"need n >= 0 agents (got {spec.params['n']})")
     if spec.params.get("m", 1) < 1:
@@ -309,18 +317,23 @@ class _Memo(dict):
 
 
 def write_instance(inst: Instance, path) -> None:
-    """Serialize to the JSON instance format (conventionally *.instance.json)."""
+    """Serialize to the JSON instance format (conventionally *.instance.json).
+
+    The file holds exactly ``json.dumps(doc, indent=2)`` plus a newline, but
+    CPython runs its pure-Python encoder whenever ``indent`` is set.  Here
+    the C encoder makes the JSON text of each distinct value once, and each
+    agent's text is that layout joined around it.
+    """
     Q = inst.inv_epsilon
-    text = _Memo(lambda units: format_rational(Fraction(units, Q)))
-    doc = {
-        "m": inst.m,
-        "inv_epsilon": inst.inv_epsilon,
-        "agents": [{"u": list(map(text.__getitem__, U)), "tau": text[T]}
-                   for U, T in inst.grid_rows],
-    }
+    text = _Memo(lambda units: json.dumps(format_rational(Fraction(units, Q))))
+    value = text.__getitem__
+    rows = ['{\n      "u": [\n        ' + ",\n        ".join(map(value, U))
+            + '\n      ],\n      "tau": ' + value(T) + "\n    }"
+            for U, T in inst.grid_rows]
+    agents = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, indent=2))
-        fh.write("\n")
+        fh.write(f'{{\n  "m": {json.dumps(inst.m)},\n  "inv_epsilon": {json.dumps(Q)},'
+                 f'\n  "agents": {agents}\n}}\n')
 
 
 def _grid_units(text, Q: int) -> int:

@@ -21,6 +21,7 @@ search.  Bad advice costs extra queries, never correctness.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Optional
@@ -219,40 +220,29 @@ def weighted_sample(weights: list[int], r_prime: int, rng: random.Random) -> dic
     hypergeometric chain -- so the multiset (which can be astronomically
     large) is never materialized.  Returns sampled-copy counts per agent.
 
-    ``weights[k - 1]`` is agent k's weight, an int >= 1.  Remaining counts
-    live in a Fenwick tree with agent k at position k, so each draw is
-    O(log n) and a value ``t`` from ``rng.randrange(total)`` picks the same
-    agent as a running-sum scan in agent order: the first whose cumulative
-    count exceeds ``t``.
+    ``weights[k - 1]`` is agent k's weight, an int >= 1.  A value ``t`` from
+    ``rng.randrange(remaining)`` picks the same agent as a running-sum scan
+    of the remaining counts in agent order: the first agent k whose
+    remaining cumulative count ``prefix[k] - drawn(<= k)`` exceeds ``t``.
+    That is the fixed point of ``k = bisect_right(prefix, t + drawn(<= k))``,
+    where ``drawn`` is the sorted list of this call's earlier draws;
+    iterating from ``drawn(<= k) = 0`` climbs to it without passing it.
     """
     if min(weights, default=1) < 1:
         raise ValueError("all weights must be >= 1")
-    size = len(weights)
     prefix = list(accumulate(weights, initial=0))
     total = prefix[-1]
     if r_prime > total:
         raise ValueError(f"cannot draw {r_prime} copies from a multiset of {total}")
-    # tree[k] holds the counts of positions k - lowbit(k) + 1 .. k (1-based).
-    tree = [0] + [prefix[k] - prefix[k & (k - 1)] for k in range(1, size + 1)]
-    top = (1 << size.bit_length()) >> 1  # largest power of two <= size
+    drawn: list[int] = []
     counts: dict[int, int] = {}
-    for _ in range(r_prime):
-        t = rng.randrange(total)
-        # Descend to the last position whose prefix count is <= t; the agent
-        # after it is the first whose running count exceeds t.
-        pos, step = 0, top
-        while step:
-            nxt = pos + step
-            if nxt <= size and tree[nxt] <= t:
-                pos = nxt
-                t -= tree[nxt]
-            step >>= 1
-        k = pos + 1
+    for remaining in range(total, total - r_prime, -1):
+        t = rng.randrange(remaining)
+        k = bisect_right(prefix, t)
+        while (nxt := bisect_right(prefix, t + bisect_right(drawn, k))) != k:
+            k = nxt
+        insort(drawn, k)
         counts[k] = counts.get(k, 0) + 1
-        while k <= size:
-            tree[k] -= 1
-            k += k & -k
-        total -= 1
     return counts
 
 

@@ -1,21 +1,34 @@
-"""Test-only reference for instance files: the Fraction-based reader and writer.
+"""Test-only references for instances: the Fraction-based generators, reader
+and writer.
 
-These are ``read_instance`` and ``write_instance`` as they were before the
-instance stored its agents as integer rows in units of epsilon, kept
-verbatim as an exact oracle: the reader builds an ``AgentSpec`` and a
-``Fraction`` per value and lets ``Instance`` check quantization, and the
-writer formats every value from the agents' Fractions.
+These are the generator families, ``read_instance`` and ``write_instance``
+as they were before instances were built and stored as integer rows in
+units of epsilon, kept verbatim as an exact oracle.  The generators draw a
+``Fraction`` per utility and build an ``AgentSpec`` per agent, the reader
+builds an ``AgentSpec`` and a ``Fraction`` per value and lets ``Instance``
+check quantization, and the writer formats every value from the agents'
+Fractions and runs ``json.dump(doc, indent=2)``.
 """
 
 import json
+import math
+import random
+import warnings
 from fractions import Fraction
 
 from unanimity.core import (
     AgentSpec,
     Instance,
+    Lottery,
+    _as_fraction,
     format_rational,
     parse_rational,
 )
+from unanimity.instances import GroundTruth, _require
+from unanimity.solvers import Advice
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def write_instance(inst: Instance, path) -> None:
@@ -68,3 +81,168 @@ def read_instance(path) -> Instance:
     if Q < 2:
         raise ValueError(f"malformed instance file {path}: inv_epsilon must be >= 2, got {Q}")
     return Instance(m, Fraction(1, Q), agents)
+
+
+def _grid_lottery(rng: random.Random, m: int, Q: int) -> Lottery:
+    """A uniformly random lottery with all coordinates positive multiples
+    of 1/Q: a random composition of Q into m positive parts."""
+    if Q < m:
+        raise ValueError(f"positive grid lottery needs 1/epsilon >= m (got {Q} < {m})")
+    cuts = sorted(rng.sample(range(1, Q), m - 1))
+    parts = [b - a for a, b in zip([0] + cuts, cuts + [Q])]
+    return Lottery([Fraction(p, Q) for p in parts])
+
+
+def _random_agent(rng: random.Random, m: int, Q: int) -> AgentSpec:
+    u = [Fraction(rng.randint(0, Q), Q) for _ in range(m)]
+    tau = Fraction(rng.randint(1, Q), Q)
+    return AgentSpec(u, tau)
+
+
+def _gen_example_2_3(params, rng):
+    inst = Instance(3, Fraction(1, 10), [
+        AgentSpec(["1", "0.6", "0.2"], "0.6"),
+        AgentSpec(["0.2", "1", "0.5"], "0.7"),
+        AgentSpec(["0.2", "0.2", "1"], "0.3"),
+    ])
+    witness = Lottery(["0.25", "0.60", "0.15"])
+    return inst, GroundTruth(True, witness), None
+
+
+def _gen_example_2_1(params, rng):
+    inst = Instance(2, Fraction(1, 10), [
+        AgentSpec(["1", "0"], "0.6"),
+        AgentSpec(["0", "1"], "0.6"),
+    ])
+    return inst, GroundTruth(False), None
+
+
+def _singleton_core(m: int, Q: int, x: Lottery) -> list[AgentSpec]:
+    """m agents pinning the feasible set to exactly {x}: agent i cares only
+    about alternative i and demands x_i of it."""
+    eps = Fraction(1, Q)
+    if x.m != m:
+        raise ValueError(f"grid point has {x.m} coordinates, expected {m}")
+    for j, p in enumerate(x.probs, start=1):
+        if p <= 0 or (p / eps).denominator != 1:
+            raise ValueError(
+                f"coordinate {j} of the planted point must be a positive multiple of 1/{Q}"
+            )
+    return [
+        AgentSpec([ONE if j == i else ZERO for j in range(m)], x[i])
+        for i in range(m)
+    ]
+
+
+def _gen_grid_singleton(params, rng):
+    m, Q = _require(params, "m", "inv_epsilon")
+    if Q < m:
+        raise ValueError(f"grid-singleton needs 1/epsilon >= m (got {Q} < {m})")
+    if m > math.isqrt(Q):
+        warnings.warn(
+            f"grid-singleton with m={m} > sqrt(1/epsilon)={math.isqrt(Q)}: outside "
+            "the regime where the family's query lower bound applies",
+            stacklevel=2,
+        )
+    x = params.get("x")
+    x = Lottery(x) if x is not None else _grid_lottery(rng, m, Q)
+    inst = Instance(m, Fraction(1, Q), _singleton_core(m, Q, x))
+    return inst, GroundTruth(True, x, unique=True), None
+
+
+def _gen_dummy_padded(params, rng):
+    n, m, Q = _require(params, "n", "m", "inv_epsilon")
+    if n < m:
+        raise ValueError(f"dummy-padded needs n >= m (got n={n}, m={m})")
+    x = params.get("x")
+    x = Lottery(x) if x is not None else _grid_lottery(rng, m, Q)
+    agents = _singleton_core(m, Q, x)
+    # Padding: agents that accept every lottery (all utilities 1, tau 1).
+    agents += [AgentSpec([ONE] * m, ONE) for _ in range(n - m)]
+    inst = Instance(m, Fraction(1, Q), agents)
+    return inst, GroundTruth(True, x, unique=True), None
+
+
+def _gen_point_mass(params, rng):
+    m, j = _require(params, "m", "j")
+    if not 1 <= j <= m:
+        raise ValueError(f"alternative index {j} out of range 1..{m}")
+    Q = params.get("inv_epsilon", 2)
+    agent = AgentSpec([ONE if k == j else ZERO for k in range(1, m + 1)], ONE)
+    inst = Instance(m, Fraction(1, Q), [agent])
+    return inst, GroundTruth(True, Lottery.pure(j, m), unique=True), None
+
+
+def _gen_near_threshold(params, rng):
+    Q, delta, t = _require(params, "inv_epsilon", "delta", "t")
+    delta = _as_fraction(delta)
+    if Q < 4:
+        raise ValueError("near-threshold needs 1/epsilon >= 4")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    M = min(Q // 2, int(delta * Q * Q) + 1)
+    if not 0 <= t < M:
+        raise ValueError(f"t={t} out of range 0..{M - 1} for Q={Q}, delta={delta}")
+    eps = Fraction(1, Q)
+    q_t = Q - t
+    alpha_t = Fraction(1, q_t)
+    # Agent 1 accepts alpha <= alpha_t, agent 2 accepts alpha >= alpha_t:
+    # the feasible set is the single edge point at alpha_t.
+    inst = Instance(2, eps, [
+        AgentSpec([q_t * eps, ZERO], (q_t - 1) * eps),
+        AgentSpec([ZERO, q_t * eps], eps),
+    ])
+    truth = Lottery([1 - alpha_t, alpha_t])
+    alpha_hat = (Fraction(1, Q) + Fraction(1, Q - M + 1)) / 2
+    hint = Lottery([1 - alpha_hat, alpha_hat])
+    return inst, GroundTruth(True, truth, unique=True), Advice(x_hat=hint)
+
+
+def _gen_random_feasible(params, rng):
+    n, m, Q = _require(params, "n", "m", "inv_epsilon")
+    x = _grid_lottery(rng, m, Q)
+    eps = Fraction(1, Q)
+    agents = []
+    for _ in range(n):
+        while True:
+            u = [Fraction(rng.randint(0, Q), Q) for _ in range(m)]
+            value = sum((ui * p for ui, p in zip(u, x.probs)), ZERO)
+            ceiling = int(value / eps)  # largest grid threshold still accepting x
+            if ceiling >= 1:
+                break
+        tau = Fraction(rng.randint(1, ceiling), Q)
+        agents.append(AgentSpec(u, tau))
+    return Instance(m, eps, agents), GroundTruth(True, x), None
+
+
+def _gen_random_infeasible(params, rng):
+    n, m, Q = _require(params, "n", "m", "inv_epsilon")
+    if n < 2 or m < 2:
+        raise ValueError("random-infeasible needs n >= 2 and m >= 2")
+    eps = Fraction(1, Q)
+    tau0 = (Q // 2 + 1) * eps
+    # Agents 1 and 2 demand x_1 >= tau0 and x_1 <= 1 - tau0 < tau0 respectively.
+    agents = [
+        AgentSpec([ONE] + [ZERO] * (m - 1), tau0),
+        AgentSpec([ZERO] + [ONE] * (m - 1), tau0),
+    ]
+    agents += [_random_agent(rng, m, Q) for _ in range(n - 2)]
+    return Instance(m, eps, agents), GroundTruth(False), None
+
+
+_GENERATORS = {
+    "example-2-3": _gen_example_2_3,
+    "example-2-1": _gen_example_2_1,
+    "grid-singleton": _gen_grid_singleton,
+    "dummy-padded": _gen_dummy_padded,
+    "point-mass": _gen_point_mass,
+    "near-threshold": _gen_near_threshold,
+    "random-feasible": _gen_random_feasible,
+    "random-infeasible": _gen_random_infeasible,
+}
+
+
+def generate(family: str, params: dict):
+    """(instance, ground truth, advice) for valid parameters, from the same
+    seeded ``random.Random`` stream as ``unanimity.instances.generate``."""
+    return _GENERATORS[family](params, random.Random(params.get("seed", 0)))

@@ -78,6 +78,17 @@ class TestConstraintSet:
         C = example_rows()
         assert C.restrict([2]).owners() == (2,)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_restrict_equals_constructor_on_the_kept_rows(self, data):
+        # restrict skips the constructor's checks; the set it builds must be
+        # the one the constructor would, rows in the original order.
+        C = data.draw(constraint_sets(max_rows=10))
+        S = data.draw(st.lists(st.integers(0, 12)))
+        sub = C.restrict(reversed(S))
+        assert sub == ConstraintSet(C.m, [row for row in C.rows if row[0] in S])
+        assert sub.owners() == tuple(owner for owner in C.owners() if owner in S)
+
 
 class TestSelect:
     def test_empty_set_gives_first_vertex(self):

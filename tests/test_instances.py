@@ -59,6 +59,20 @@ class TestGeneratorSpec:
                 with pytest.raises(ValueError, match=message):
                     generate(GeneratorSpec(family, {**params, key: bad}))
 
+    @pytest.mark.parametrize("family, params, key, bad", [
+        ("random-feasible", {"n": 3, "m": 2, "inv_epsilon": 10}, "n", 2.5),
+        ("random-feasible", {"n": 3, "m": 2, "inv_epsilon": 10}, "m", 2.0),
+        ("random-infeasible", {"n": 3, "m": 2, "inv_epsilon": 10}, "n", "3"),
+        ("dummy-padded", {"n": 3, "m": 1, "inv_epsilon": 10}, "n", True),
+        ("near-threshold", {"inv_epsilon": 10, "delta": "1/25", "t": 1}, "t", 1.0),
+        ("random-feasible", {"n": 3, "m": 2, "inv_epsilon": 10}, "seed", 1.5),
+        ("point-mass", {"m": 3, "j": 2}, "j", 2.0),
+    ])
+    def test_non_integer_params_rejected(self, family, params, key, bad):
+        generate(GeneratorSpec(family, params))
+        with pytest.raises(ValueError, match=f"^parameter {key} must be an integer"):
+            generate(GeneratorSpec(family, {**params, key: bad}))
+
     @pytest.mark.parametrize("family, params, unread", [
         ("example-2-3", {"n": 3, "seed": 1}, "n"),
         ("random-feasible", {"n": 3, "m": 2, "inv_epsilon": 10, "x": ["1/2", "1/2"]}, "x"),
@@ -394,8 +408,8 @@ def file_dir(tmp_path_factory):
 
 
 class TestAgainstReference:
-    """The integer-row reader and writer against the Fraction-based ones
-    they replace (``tests/reference_instances.py``)."""
+    """The integer-row generators, reader and writer against the
+    Fraction-based ones they replace (``tests/reference_instances.py``)."""
 
     @settings(max_examples=150, deadline=None)
     @given(family=st.sampled_from(FAMILIES), data=st.data())
@@ -430,3 +444,38 @@ class TestAgainstReference:
         inst = read_instance(path)
         assert inst == reference_instances.read_instance(path)
         assert inst.grid_rows == (((13, 10, 2), 13), ((13, 20, 0), 2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(family=st.sampled_from(FAMILIES), data=st.data())
+    def test_same_instance_truth_and_hint(self, family, data):
+        params = data.draw(_FAMILY_PARAMS[family])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            inst, truth, advice = generate(GeneratorSpec(family, params))
+            ref, ref_truth, ref_advice = reference_instances.generate(family, params)
+        assert (inst.m, inst.epsilon, inst.grid_rows) == (ref.m, ref.epsilon, ref.grid_rows)
+        assert truth.to_json_dict() == ref_truth.to_json_dict()
+        assert advice == ref_advice
+        # The contract of Instance._from_grid_rows, which trusts its caller.
+        Q = inst.inv_epsilon
+        assert type(inst.m) is int and inst.m >= 1 and Q >= 2
+        assert type(inst.grid_rows) is tuple
+        for U, T in inst.grid_rows:
+            assert type(U) is tuple and len(U) == inst.m
+            assert all(type(u) is int and 0 <= u <= Q for u in U)
+            assert type(T) is int and 1 <= T <= Q
+
+    @pytest.mark.parametrize("family, params", [
+        ("random-feasible", {"n": 0, "m": 3, "inv_epsilon": 10}),
+        ("random-feasible", {"n": 7, "m": 1, "inv_epsilon": 7}),
+        ("point-mass", {"m": 1, "j": 1}),
+        ("dummy-padded", {"n": 900, "m": 3, "inv_epsilon": 20}),
+        ("random-feasible", {"n": 900, "m": 2, "inv_epsilon": 20}),
+        ("random-infeasible", {"n": 900, "m": 4, "inv_epsilon": 10**6}),
+    ])
+    def test_writer_bytes_at_edge_and_benchmark_sizes(self, tmp_path, family, params):
+        inst, _, _ = generate(GeneratorSpec(family, params))
+        ours, ref = tmp_path / "ours.instance.json", tmp_path / "ref.instance.json"
+        write_instance(inst, ours)
+        reference_instances.write_instance(inst, ref)
+        assert ours.read_bytes() == ref.read_bytes()
