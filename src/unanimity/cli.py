@@ -8,8 +8,11 @@ Subcommands (run as ``python -m unanimity ...``):
 * ``solve``  -- run a solver on an instance file and emit a JSON report.
   Exit code 0 means a unanimously acceptable lottery was found, 3 means a
   certified Null.
-* ``verify`` -- re-check a report against its instance by direct
-  evaluation of every agent's membership test (no oracle, no solver trust).
+* ``verify`` -- re-check a report against its instance without the oracle:
+  every agent's membership test for an Accepted lottery, the agent's row
+  for a ``reject_all`` witness, and ``feasible_full`` -- the solvers' own
+  LP (``select``) -- for a Helly witness; ROADMAP item 4 (Farkas
+  certificates) would remove that dependency on the solver.
 * ``bench``  -- sweep (instance, solver, seed) combinations and append
   rows to a CSV table.
 

@@ -12,7 +12,8 @@ denominator, so the membership test ``<u_i, x> >= tau_i``
 (:meth:`unanimity.oracle.Oracle.query`) compares exact integers and builds
 no Fraction per query.  ``AgentSpec`` is the rational form of an agent:
 instances can be built from it, and ``Instance.agents`` gives it back as a
-view; the file reader and the generators build the integer rows directly.
+view; the file reader, ``quantize`` and every generator build the integer
+rows directly, and ``_grid_units`` is the one rational-to-units conversion.
 """
 
 from __future__ import annotations
@@ -66,6 +67,19 @@ def _as_fraction(value) -> Fraction:
 
 def _as_fractions(values: Iterable) -> tuple[Fraction, ...]:
     return tuple(map(_as_fraction, values))
+
+
+def _grid_units(value: Fraction, Q: int) -> int:
+    """``value`` as a count of epsilon-units, epsilon = 1/Q.  A ValueError
+    says why ``value`` is off the grid; the caller says where it came from."""
+    if not 0 <= value <= 1:
+        raise ValueError("lies outside [0, 1]")
+    # In lowest terms, p/q is a multiple of 1/Q iff q divides Q, and then
+    # it is p * (Q // q) units.
+    scale, off = divmod(Q, value.denominator)
+    if off:
+        raise ValueError(f"is not a multiple of epsilon=1/{Q}")
+    return value.numerator * scale
 
 
 @dataclass(frozen=True)
@@ -168,23 +182,14 @@ class Instance:
         for idx, agent in enumerate(agents, start=1):
             if agent.m != m:
                 raise ValueError(f"agent {idx}: expected {m} utilities, got {agent.m}")
-            # In lowest terms, p/q is a multiple of 1/Q iff q divides Q, and
-            # then it is p * (Q // q) units of 1/Q.
-            U = []
-            for j, u in enumerate(agent.utilities, start=1):
-                p, q = u.as_integer_ratio()
-                if Q % q:
-                    raise ValueError(
-                        f"agent {idx}: utility for alternative {j} is not a "
-                        f"multiple of epsilon={epsilon}"
-                    )
-                U.append(p * (Q // q))
-            p, q = agent.threshold.as_integer_ratio()
-            if Q % q:
-                raise ValueError(
-                    f"agent {idx}: threshold is not a multiple of epsilon={epsilon}"
-                )
-            rows.append((tuple(U), p * (Q // q)))
+            units = []
+            for j, value in enumerate(agent.utilities + (agent.threshold,), start=1):
+                try:
+                    units.append(_grid_units(value, Q))
+                except ValueError as exc:
+                    where = f"utility for alternative {j}" if j <= m else "threshold"
+                    raise ValueError(f"agent {idx}: {where} {exc}") from None
+            rows.append((tuple(units[:-1]), units[-1]))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "epsilon", epsilon)
         object.__setattr__(self, "grid_rows", tuple(rows))
@@ -194,8 +199,8 @@ class Instance:
         """An instance over rows its caller has already checked: m >= 1,
         1/epsilon >= 2, and per agent m ints U_j in 0..1/epsilon and an int
         T in 1..1/epsilon, as a tuple of ``(U, T)`` with U a tuple.  For
-        readers that validate while parsing and for generators that draw
-        their rows on the grid."""
+        the file reader and ``quantize``, which validate as they convert,
+        and for generators that build their rows on the grid."""
         inst = object.__new__(cls)
         object.__setattr__(inst, "m", m)
         object.__setattr__(inst, "epsilon", Fraction(1, inv_epsilon))

@@ -7,14 +7,13 @@ output against these tags without crossing the oracle boundary.  The
 near-threshold family additionally emits the lottery hint its analysis
 prescribes.
 
-The random and padded families draw each agent straight into its integer
-row ``(U, T)`` in units of epsilon, the form :class:`Instance` stores, so
-they build no Fraction or ``AgentSpec`` per agent.
-
 Also here: quantization of arbitrary rational instances onto the epsilon
-grid, and a lossless JSON file format.  ``write_instance`` writes exactly
-the bytes of ``json.dumps(doc, indent=2)``, from the JSON text of each
-distinct value laid out per agent, without CPython's pure-Python indenting
+grid, and a lossless JSON file format.  The generators, ``quantize`` and
+``read_instance`` all build each agent straight into its integer row
+``(U, T)`` in units of epsilon, the form :class:`Instance` stores, with
+no ``AgentSpec`` per agent.  ``write_instance`` writes exactly the bytes
+of ``json.dumps(doc, indent=2)``, from the JSON text of each distinct
+value laid out per agent, without CPython's pure-Python indenting
 encoder.
 """
 
@@ -30,28 +29,14 @@ from operator import mul
 from typing import Optional, Sequence
 
 from unanimity.core import (
-    AgentSpec,
     Instance,
     Lottery,
     _as_fraction,
+    _grid_units,
     format_rational,
     parse_rational,
 )
 from unanimity.solvers import Advice
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
-FAMILIES = (
-    "example-2-3",
-    "example-2-1",
-    "random-feasible",
-    "random-infeasible",
-    "grid-singleton",
-    "point-mass",
-    "dummy-padded",
-    "near-threshold",
-)
 
 
 @dataclass(frozen=True)
@@ -81,13 +66,6 @@ class GroundTruth:
         return doc
 
 
-def _require(params: dict, *names: str) -> list:
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise ValueError(f"missing generator parameters: {', '.join(missing)}")
-    return [params[k] for k in names]
-
-
 def _grid_lottery(rng: random.Random, m: int, Q: int) -> Lottery:
     """A uniformly random lottery with all coordinates positive multiples
     of 1/Q: a random composition of Q into m positive parts."""
@@ -98,45 +76,45 @@ def _grid_lottery(rng: random.Random, m: int, Q: int) -> Lottery:
     return Lottery([Fraction(p, Q) for p in parts])
 
 
-def _gen_example_2_3(params, rng):
-    inst = Instance(3, Fraction(1, 10), [
-        AgentSpec(["1", "0.6", "0.2"], "0.6"),
-        AgentSpec(["0.2", "1", "0.5"], "0.7"),
-        AgentSpec(["0.2", "0.2", "1"], "0.3"),
-    ])
+def _gen_example_2_3(rng):
+    # In units of epsilon = 1/10.
+    inst = Instance._from_grid_rows(3, 10, (
+        ((10, 6, 2), 6),
+        ((2, 10, 5), 7),
+        ((2, 2, 10), 3),
+    ))
     witness = Lottery(["0.25", "0.60", "0.15"])
     return inst, GroundTruth(True, witness), None
 
 
-def _gen_example_2_1(params, rng):
-    inst = Instance(2, Fraction(1, 10), [
-        AgentSpec(["1", "0"], "0.6"),
-        AgentSpec(["0", "1"], "0.6"),
-    ])
+def _gen_example_2_1(rng):
+    inst = Instance._from_grid_rows(2, 10, (((10, 0), 6), ((0, 10), 6)))
     return inst, GroundTruth(False), None
 
 
-def _singleton_rows(m: int, Q: int, x: Lottery) -> list[tuple[tuple[int, ...], int]]:
-    """The grid rows of m agents pinning the feasible set to exactly {x}:
-    agent i cares only about alternative i and demands x_i of it."""
+def _singleton(rng, m: int, Q: int, x) -> tuple[Lottery, list]:
+    """The planted point (``x``, or a random grid lottery if None) and the
+    grid rows of m agents pinning the feasible set to exactly {x}: agent i
+    cares only about alternative i and demands x_i of it."""
+    x = Lottery(x) if x is not None else _grid_lottery(rng, m, Q)
     if x.m != m:
         raise ValueError(f"grid point has {x.m} coordinates, expected {m}")
     rows = []
     for j, p in enumerate(x.probs, start=1):
-        # In lowest terms, p is a positive multiple of 1/Q iff p > 0 and its
-        # denominator divides Q; it is then p * Q units.
-        if p <= 0 or Q % p.denominator:
+        # A lottery's coordinates lie in [0, 1]: only 0 and off-grid fail.
+        try:
+            T = _grid_units(p, Q)
+        except ValueError:
+            T = 0
+        if not T:
             raise ValueError(
                 f"coordinate {j} of the planted point must be a positive multiple of 1/{Q}"
             )
-        U = [0] * m
-        U[j - 1] = Q
-        rows.append((tuple(U), p.numerator * (Q // p.denominator)))
-    return rows
+        rows.append((tuple(Q if k == j else 0 for k in range(1, m + 1)), T))
+    return x, rows
 
 
-def _gen_grid_singleton(params, rng):
-    m, Q = _require(params, "m", "inv_epsilon")
+def _gen_grid_singleton(rng, m, Q, x=None):
     if Q < m:
         raise ValueError(f"grid-singleton needs 1/epsilon >= m (got {Q} < {m})")
     if m > math.isqrt(Q):
@@ -145,36 +123,30 @@ def _gen_grid_singleton(params, rng):
             "the regime where the family's query lower bound applies",
             stacklevel=2,
         )
-    x = params.get("x")
-    x = Lottery(x) if x is not None else _grid_lottery(rng, m, Q)
-    inst = Instance._from_grid_rows(m, Q, tuple(_singleton_rows(m, Q, x)))
-    return inst, GroundTruth(True, x, unique=True), None
-
-
-def _gen_dummy_padded(params, rng):
-    n, m, Q = _require(params, "n", "m", "inv_epsilon")
-    if n < m:
-        raise ValueError(f"dummy-padded needs n >= m (got n={n}, m={m})")
-    x = params.get("x")
-    x = Lottery(x) if x is not None else _grid_lottery(rng, m, Q)
-    # Padding: agents that accept every lottery (all utilities 1, tau 1).
-    rows = _singleton_rows(m, Q, x) + [((Q,) * m, Q)] * (n - m)
+    x, rows = _singleton(rng, m, Q, x)
     inst = Instance._from_grid_rows(m, Q, tuple(rows))
     return inst, GroundTruth(True, x, unique=True), None
 
 
-def _gen_point_mass(params, rng):
-    m, j = _require(params, "m", "j")
+def _gen_dummy_padded(rng, n, m, Q, x=None):
+    if n < m:
+        raise ValueError(f"dummy-padded needs n >= m (got n={n}, m={m})")
+    x, rows = _singleton(rng, m, Q, x)
+    # Padding: agents that accept every lottery (all utilities 1, tau 1).
+    rows += [((Q,) * m, Q)] * (n - m)
+    inst = Instance._from_grid_rows(m, Q, tuple(rows))
+    return inst, GroundTruth(True, x, unique=True), None
+
+
+def _gen_point_mass(rng, m, j, inv_epsilon=2):
     if not 1 <= j <= m:
         raise ValueError(f"alternative index {j} out of range 1..{m}")
-    Q = params.get("inv_epsilon", 2)
-    agent = AgentSpec([ONE if k == j else ZERO for k in range(1, m + 1)], ONE)
-    inst = Instance(m, Fraction(1, Q), [agent])
+    U = tuple(inv_epsilon if k == j else 0 for k in range(1, m + 1))
+    inst = Instance._from_grid_rows(m, inv_epsilon, ((U, inv_epsilon),))
     return inst, GroundTruth(True, Lottery.pure(j, m), unique=True), None
 
 
-def _gen_near_threshold(params, rng):
-    Q, delta, t = _require(params, "inv_epsilon", "delta", "t")
+def _gen_near_threshold(rng, Q, delta, t):
     delta = _as_fraction(delta)
     if Q < 4:
         raise ValueError("near-threshold needs 1/epsilon >= 4")
@@ -183,23 +155,18 @@ def _gen_near_threshold(params, rng):
     M = min(Q // 2, int(delta * Q * Q) + 1)
     if not 0 <= t < M:
         raise ValueError(f"t={t} out of range 0..{M - 1} for Q={Q}, delta={delta}")
-    eps = Fraction(1, Q)
     q_t = Q - t
     alpha_t = Fraction(1, q_t)
     # Agent 1 accepts alpha <= alpha_t, agent 2 accepts alpha >= alpha_t:
     # the feasible set is the single edge point at alpha_t.
-    inst = Instance(2, eps, [
-        AgentSpec([q_t * eps, ZERO], (q_t - 1) * eps),
-        AgentSpec([ZERO, q_t * eps], eps),
-    ])
+    inst = Instance._from_grid_rows(2, Q, (((q_t, 0), q_t - 1), ((0, q_t), 1)))
     truth = Lottery([1 - alpha_t, alpha_t])
     alpha_hat = (Fraction(1, Q) + Fraction(1, Q - M + 1)) / 2
     hint = Lottery([1 - alpha_hat, alpha_hat])
     return inst, GroundTruth(True, truth, unique=True), Advice(x_hat=hint)
 
 
-def _gen_random_feasible(params, rng):
-    n, m, Q = _require(params, "n", "m", "inv_epsilon")
+def _gen_random_feasible(rng, n, m, Q):
     x = _grid_lottery(rng, m, Q)
     P, D = x.scaled
     rows = []
@@ -215,8 +182,7 @@ def _gen_random_feasible(params, rng):
     return Instance._from_grid_rows(m, Q, tuple(rows)), GroundTruth(True, x), None
 
 
-def _gen_random_infeasible(params, rng):
-    n, m, Q = _require(params, "n", "m", "inv_epsilon")
+def _gen_random_infeasible(rng, n, m, Q):
     if n < 2 or m < 2:
         raise ValueError("random-infeasible needs n >= 2 and m >= 2")
     T0 = Q // 2 + 1
@@ -228,17 +194,21 @@ def _gen_random_infeasible(params, rng):
     return Instance._from_grid_rows(m, Q, tuple(rows)), GroundTruth(False), None
 
 
-# Each family's generator and the parameters it reads besides ``seed``.
+# Each family's generator, the parameters it requires and those it may
+# also read besides ``seed``.  A generator takes the seeded rng, the
+# required parameters in this order and the optional ones by name.
 _GENERATORS = {
-    "example-2-3": (_gen_example_2_3, ()),
-    "example-2-1": (_gen_example_2_1, ()),
-    "grid-singleton": (_gen_grid_singleton, ("m", "inv_epsilon", "x")),
-    "dummy-padded": (_gen_dummy_padded, ("n", "m", "inv_epsilon", "x")),
-    "point-mass": (_gen_point_mass, ("m", "j", "inv_epsilon")),
-    "near-threshold": (_gen_near_threshold, ("inv_epsilon", "delta", "t")),
-    "random-feasible": (_gen_random_feasible, ("n", "m", "inv_epsilon")),
-    "random-infeasible": (_gen_random_infeasible, ("n", "m", "inv_epsilon")),
+    "example-2-3": (_gen_example_2_3, (), ()),
+    "example-2-1": (_gen_example_2_1, (), ()),
+    "random-feasible": (_gen_random_feasible, ("n", "m", "inv_epsilon"), ()),
+    "random-infeasible": (_gen_random_infeasible, ("n", "m", "inv_epsilon"), ()),
+    "grid-singleton": (_gen_grid_singleton, ("m", "inv_epsilon"), ("x",)),
+    "point-mass": (_gen_point_mass, ("m", "j"), ("inv_epsilon",)),
+    "dummy-padded": (_gen_dummy_padded, ("n", "m", "inv_epsilon"), ("x",)),
+    "near-threshold": (_gen_near_threshold, ("inv_epsilon", "delta", "t"), ()),
 }
+
+FAMILIES = tuple(_GENERATORS)
 
 
 def generate(spec: GeneratorSpec) -> tuple[Instance, GroundTruth, Optional[Advice]]:
@@ -251,8 +221,8 @@ def generate(spec: GeneratorSpec) -> tuple[Instance, GroundTruth, Optional[Advic
     ints (not bools), ``n`` >= 0 and ``m`` >= 1, and an ``inv_epsilon``
     parameter an integer >= 2; anything else is a ValueError.
     """
-    gen, reads = _GENERATORS[spec.family]
-    unread = sorted(set(spec.params) - set(reads) - {"seed"})
+    gen, required, optional = _GENERATORS[spec.family]
+    unread = sorted(set(spec.params) - set(required) - set(optional) - {"seed"})
     if unread:
         raise ValueError(f"{spec.family} does not read parameter(s): {', '.join(unread)}")
     for name in ("n", "m", "j", "t", "seed"):
@@ -269,13 +239,12 @@ def generate(spec: GeneratorSpec) -> tuple[Instance, GroundTruth, Optional[Advic
     # bool is an int subclass; True must not pass for 1/epsilon = 1.
     if Q is not None and not (type(Q) is int and Q >= 2):
         raise ValueError("1/epsilon must be an integer >= 2")
+    missing = [k for k in required if k not in spec.params]
+    if missing:
+        raise ValueError(f"missing generator parameters: {', '.join(missing)}")
     rng = random.Random(spec.params.get("seed", 0))
-    return gen(spec.params, rng)
-
-
-def _snap(value: Fraction, eps: Fraction) -> Fraction:
-    """Nearest multiple of eps, ties rounded up, computed exactly."""
-    return math.floor(value / eps + Fraction(1, 2)) * eps
+    given = {k: spec.params[k] for k in optional if k in spec.params}
+    return gen(rng, *[spec.params[k] for k in required], **given)
 
 
 def quantize(utilities: Sequence[Sequence], thresholds: Sequence, epsilon) -> Instance:
@@ -290,18 +259,22 @@ def quantize(utilities: Sequence[Sequence], thresholds: Sequence, epsilon) -> In
     thresholds = [_as_fraction(t) for t in thresholds]
     if len(utilities) != len(thresholds):
         raise ValueError("one threshold per utility row required")
-    agents = []
-    for idx, (row, tau) in enumerate(zip(utilities, thresholds), start=1):
-        if any(not (ZERO <= u <= ONE) for u in row):
-            raise ValueError(f"agent {idx}: utilities must lie in [0, 1]")
-        if not (ZERO < tau <= ONE):
-            raise ValueError(f"agent {idx}: threshold must lie in (0, 1]")
-        agents.append(AgentSpec(
-            [_snap(u, eps) for u in row],
-            max(eps, _snap(tau, eps)),
-        ))
     m = len(utilities[0]) if utilities else 0
-    return Instance(m, eps, agents)
+    # An instance with no agents yet checks m >= 1 and epsilon = 1/Q, Q >= 2.
+    Q = Instance(m, eps, ()).inv_epsilon
+    rows = []
+    for idx, (row, tau) in enumerate(zip(utilities, thresholds), start=1):
+        if any(not (0 <= u <= 1) for u in row):
+            raise ValueError(f"agent {idx}: utilities must lie in [0, 1]")
+        if not (0 < tau <= 1):
+            raise ValueError(f"agent {idx}: threshold must lie in (0, 1]")
+        if len(row) != m:
+            raise ValueError(f"agent {idx}: expected {m} utilities, got {len(row)}")
+        # The nearest count of epsilon-units, ties rounded up, is
+        # floor(v*Q + 1/2); a Fraction's // is an exact floor.
+        U = tuple((2 * u * Q + 1) // 2 for u in row)
+        rows.append((U, max(1, (2 * tau * Q + 1) // 2)))
+    return Instance._from_grid_rows(m, Q, tuple(rows))
 
 
 class _Memo(dict):
@@ -336,22 +309,6 @@ def write_instance(inst: Instance, path) -> None:
                  f'\n  "agents": {agents}\n}}\n')
 
 
-def _grid_units(text, Q: int) -> int:
-    """The value of a rational string in [0, 1] in units of 1/Q.  A
-    ValueError says why ``text`` is rejected; the caller says where."""
-    try:
-        value = parse_rational(text)
-    except ValueError:
-        raise ValueError("is not a rational string") from None
-    if not 0 <= value <= 1:
-        raise ValueError("lies outside [0, 1]")
-    # In lowest terms, p/q is a multiple of 1/Q iff q divides Q.
-    scale, off = divmod(Q, value.denominator)
-    if off:
-        raise ValueError(f"is not a multiple of epsilon=1/{Q}")
-    return value.numerator * scale
-
-
 def read_instance(path) -> Instance:
     """Parse and validate an instance file; raises ValueError naming the
     offending agent on any range, length or quantization violation.
@@ -374,10 +331,18 @@ def read_instance(path) -> Instance:
         if Q < 2 or m < 1:
             raise ValueError(f"malformed instance file {path}: want m >= 1 and "
                              f"inv_epsilon >= 2, got m={m}, inv_epsilon={Q}")
+
+        def text_units(text) -> int:
+            try:
+                value = parse_rational(text)
+            except ValueError:
+                raise ValueError("is not a rational string") from None
+            return _grid_units(value, Q)
+
         # Each distinct string is parsed and checked once.  Only strings
         # become keys (parse_rational rejects the rest); an unhashable value
         # is a TypeError.
-        units = _Memo(lambda text: _grid_units(text, Q))
+        units = _Memo(text_units)
         to_units = units.__getitem__
         rows = []
         for idx, a in enumerate(agents, start=1):
@@ -389,12 +354,15 @@ def read_instance(path) -> Instance:
             try:
                 U = tuple(map(to_units, u))
                 T = to_units(tau)
-            except ValueError as exc:
-                # The first value not in the table is the one that failed.
+            except (ValueError, TypeError) as exc:
+                # The first value not in the table is the one that failed; a
+                # list or an object is unhashable, so never in it.
                 where, text = next(((f"utility for alternative {j}", text)
-                                    for j, text in enumerate(u, start=1) if text not in units),
+                                    for j, text in enumerate(u, start=1)
+                                    if type(text) is not str or text not in units),
                                    ("threshold", tau))
-                raise ValueError(f"agent {idx}: {where} {text!r} {exc}") from None
+                reason = exc if isinstance(exc, ValueError) else "is not a rational string"
+                raise ValueError(f"agent {idx}: {where} {text!r} {reason}") from None
             if len(U) != m:
                 raise ValueError(f"agent {idx}: expected {m} utilities, got {len(U)}")
             if not T:

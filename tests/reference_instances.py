@@ -1,13 +1,16 @@
-"""Test-only references for instances: the Fraction-based generators, reader
-and writer.
+"""Test-only references for instances: the Fraction-based generators,
+quantizer, reader and writer.
 
-These are the generator families, ``read_instance`` and ``write_instance``
-as they were before instances were built and stored as integer rows in
-units of epsilon, kept verbatim as an exact oracle.  The generators draw a
-``Fraction`` per utility and build an ``AgentSpec`` per agent, the reader
-builds an ``AgentSpec`` and a ``Fraction`` per value and lets ``Instance``
-check quantization, and the writer formats every value from the agents'
-Fractions and runs ``json.dump(doc, indent=2)``.
+These are the generator families, ``quantize``, ``read_instance`` and
+``write_instance`` as they were before instances were built and stored as
+integer rows in units of epsilon, kept verbatim as an exact oracle.  The
+generators draw a ``Fraction`` per utility and build an ``AgentSpec`` per
+agent; ``quantize`` snaps each value to a Fraction multiple of epsilon and
+builds an ``AgentSpec`` per agent; the writer formats every value from the
+agents' Fractions and runs ``json.dump(doc, indent=2)``.  The reader builds
+an ``AgentSpec`` and a ``Fraction`` per value and checks quantization with
+its own copy of the loop ``Instance`` once ran, so that it shares no grid
+check with the reader it is compared against.
 """
 
 import json
@@ -15,6 +18,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from typing import Sequence
 
 from unanimity.core import (
     AgentSpec,
@@ -24,11 +28,49 @@ from unanimity.core import (
     format_rational,
     parse_rational,
 )
-from unanimity.instances import GroundTruth, _require
+from unanimity.instances import GroundTruth
 from unanimity.solvers import Advice
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _require(params: dict, *names: str) -> list:
+    return [params[k] for k in names]
+
+
+def _instance(m: int, epsilon, agents) -> Instance:
+    """``Instance(m, epsilon, agents)`` with the checks and the loop its
+    constructor ran when it converted each value with ``Q % q`` inline."""
+    epsilon = _as_fraction(epsilon)
+    if m < 1:
+        raise ValueError("need at least one alternative")
+    # In lowest terms, 1/epsilon is an integer >= 2 iff epsilon = 1/Q, Q >= 2.
+    if epsilon.numerator != 1 or epsilon.denominator < 2:
+        raise ValueError("1/epsilon must be an integer >= 2")
+    Q = epsilon.denominator
+    rows = []
+    for idx, agent in enumerate(agents, start=1):
+        if agent.m != m:
+            raise ValueError(f"agent {idx}: expected {m} utilities, got {agent.m}")
+        # In lowest terms, p/q is a multiple of 1/Q iff q divides Q, and
+        # then it is p * (Q // q) units of 1/Q.
+        U = []
+        for j, u in enumerate(agent.utilities, start=1):
+            p, q = u.as_integer_ratio()
+            if Q % q:
+                raise ValueError(
+                    f"agent {idx}: utility for alternative {j} is not a "
+                    f"multiple of epsilon={epsilon}"
+                )
+            U.append(p * (Q // q))
+        p, q = agent.threshold.as_integer_ratio()
+        if Q % q:
+            raise ValueError(
+                f"agent {idx}: threshold is not a multiple of epsilon={epsilon}"
+            )
+        rows.append((tuple(U), p * (Q // q)))
+    return Instance._from_grid_rows(m, Q, tuple(rows))
 
 
 def write_instance(inst: Instance, path) -> None:
@@ -80,7 +122,7 @@ def read_instance(path) -> Instance:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc
     if Q < 2:
         raise ValueError(f"malformed instance file {path}: inv_epsilon must be >= 2, got {Q}")
-    return Instance(m, Fraction(1, Q), agents)
+    return _instance(m, Fraction(1, Q), agents)
 
 
 def _grid_lottery(rng: random.Random, m: int, Q: int) -> Lottery:
@@ -240,6 +282,37 @@ _GENERATORS = {
     "random-feasible": _gen_random_feasible,
     "random-infeasible": _gen_random_infeasible,
 }
+
+
+def _snap(value: Fraction, eps: Fraction) -> Fraction:
+    """Nearest multiple of eps, ties rounded up, computed exactly."""
+    return math.floor(value / eps + Fraction(1, 2)) * eps
+
+
+def quantize(utilities: Sequence[Sequence], thresholds: Sequence, epsilon) -> Instance:
+    """Snap arbitrary rational utilities/thresholds onto the epsilon grid.
+
+    Every value moves by at most epsilon; thresholds that would round to
+    zero are clamped up to epsilon to stay positive (still within the
+    epsilon sandwich, since the input threshold was positive).
+    """
+    eps = _as_fraction(epsilon)
+    utilities = [[_as_fraction(u) for u in row] for row in utilities]
+    thresholds = [_as_fraction(t) for t in thresholds]
+    if len(utilities) != len(thresholds):
+        raise ValueError("one threshold per utility row required")
+    agents = []
+    for idx, (row, tau) in enumerate(zip(utilities, thresholds), start=1):
+        if any(not (ZERO <= u <= ONE) for u in row):
+            raise ValueError(f"agent {idx}: utilities must lie in [0, 1]")
+        if not (ZERO < tau <= ONE):
+            raise ValueError(f"agent {idx}: threshold must lie in (0, 1]")
+        agents.append(AgentSpec(
+            [_snap(u, eps) for u in row],
+            max(eps, _snap(tau, eps)),
+        ))
+    m = len(utilities[0]) if utilities else 0
+    return Instance(m, eps, agents)
 
 
 def generate(family: str, params: dict):

@@ -1,0 +1,55 @@
+"""Static hygiene of the package: no name a module defines for itself goes
+unused.
+
+For each module of ``src/unanimity`` except ``__init__.py`` (whose imports
+are the public re-exports), every imported name, every top-level private
+function or class and every module constant (an upper-case top-level
+name) must be read somewhere in the module itself.  Leftovers of a
+refactor fail here.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unanimity"
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _defined(tree: ast.Module) -> dict[str, str]:
+    """The names the module defines for its own use, each with its kind."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                names[(alias.asname or alias.name).partition(".")[0]] = "import"
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                names[node.name] = "private " + type(node).__name__
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and target.id.lstrip("_").isupper():
+                    names[target.id] = "constant"
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    return {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_modules_found():
+    assert {"core.py", "instances.py", "cli.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_module_names(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = _read(tree)
+    unused = sorted(f"{name} ({kind})" for name, kind in _defined(tree).items()
+                    if name not in read)
+    assert not unused, f"{path.name} never reads: {', '.join(unused)}"

@@ -236,6 +236,8 @@ class TestQuantize:
             quantize([["1.5"]], ["0.5"], F(1, 10))
         with pytest.raises(ValueError):
             quantize([["0.5"]], ["0"], F(1, 10))
+        with pytest.raises(ValueError, match="1/epsilon"):
+            quantize([["0.5"]], ["0.5"], 0)
 
     def test_expected_utility_moves_by_at_most_epsilon(self):
         rng = random.Random(13)
@@ -306,7 +308,9 @@ class TestFileFormat:
                     {"u": ["1", "0"], "tau": "0/7"},
                     {"u": ["1"], "tau": "1/2"},
                     {"u": ["1", "0", "0"], "tau": "1/2"},
-                    {"u": ["1", "x"], "tau": "1/2"}):
+                    {"u": ["1", "x"], "tau": "1/2"},
+                    {"u": [["1"], "0"], "tau": "1/2"},
+                    {"u": ["1", "0"], "tau": {"x": 1}}):
             path.write_text(json.dumps({
                 "m": 2, "inv_epsilon": 10,
                 "agents": [{"u": ["1", "0"], "tau": "1/2"}, bad],
@@ -349,7 +353,8 @@ assert set(_FAMILY_PARAMS) == set(FAMILIES)
 
 
 def _outcome(read, path):
-    """What a reader makes of a file: the instance, or the ValueError class."""
+    """What a reader (or ``quantize``) makes of its input: the instance, or
+    the ValueError class."""
     try:
         return read(path)
     except ValueError:
@@ -402,6 +407,46 @@ def instance_docs(draw):
     return doc
 
 
+@st.composite
+def quantize_args(draw):
+    """Arguments for ``quantize``: values at exact ties (k + 1/2)/Q and
+    within epsilon/2 of 0 and 1, positive thresholds below epsilon/2.  One
+    draw in three has a flaw: a row of another length, one threshold too
+    many or too few, a value out of range, or an epsilon not of the form
+    1/Q."""
+    Q = draw(st.sampled_from([2, 3, 7, 10, 20, 1000]))
+    half = F(1, 2 * Q)
+    ties = st.integers(0, Q - 1).map(lambda k: F(2 * k + 1, 2 * Q))
+    near_one = st.fractions(1 - half, 1, max_denominator=10**6)
+    anywhere = st.fractions(0, 1, max_denominator=10**4)
+    utility = st.one_of(ties, st.fractions(0, half, max_denominator=10**6), near_one, anywhere)
+    threshold = st.one_of(ties, st.fractions(F(1, 10**6), half, max_denominator=10**6),
+                          near_one, anywhere)
+    utility, threshold = (st.one_of(v, v.map(str)) for v in (utility, threshold))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(0, 5))
+    utilities = draw(st.lists(st.lists(utility, min_size=m, max_size=m), min_size=n, max_size=n))
+    thresholds = draw(st.lists(threshold, min_size=n, max_size=n))
+    eps = F(1, Q)
+    flaw = draw(st.sampled_from([None] * 8 + ["length", "count", "range", "epsilon"]))
+    if flaw == "length" and n:
+        row = utilities[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append("1")
+    elif flaw == "count":
+        thresholds = thresholds[:-1] if n and draw(st.booleans()) else thresholds + ["1"]
+    elif flaw == "range" and n:
+        bad = draw(st.sampled_from([F(-1, 10**6), F(10**6 + 1, 10**6), F(3, 2)]))
+        if draw(st.booleans()):
+            utilities[0][0] = bad
+        else:
+            thresholds[0] = draw(st.sampled_from([bad, F(0)]))
+    elif flaw == "epsilon":
+        eps = draw(st.sampled_from([F(2, 5), F(3, 10), F(1), F(2), F(7, 3), F(-1, 10), "0.3"]))
+    return utilities, thresholds, eps
+
+
 @pytest.fixture(scope="module")
 def file_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("instance-files")
@@ -434,6 +479,14 @@ class TestAgainstReference:
         assert (ours is ValueError) == (ref is ValueError)
         if ref is not ValueError:
             assert ours == ref and ours.agents == ref.agents
+
+    @settings(max_examples=500, deadline=None)
+    @given(args=quantize_args())
+    def test_quantize_matches_reference(self, args):
+        ours = _outcome(lambda a: quantize(*a), args)
+        ref = _outcome(lambda a: reference_instances.quantize(*a), args)
+        # Equal instances (m, epsilon and grid_rows), or ValueError on both sides.
+        assert ours == ref
 
     def test_reader_accepts_reference_spellings(self, tmp_path):
         path = tmp_path / "spelled.instance.json"
