@@ -9,7 +9,6 @@ unanimously acceptable lottery or a small certificate of impossibility.
 from unanimity import (
     GeneratorSpec,
     Oracle,
-    expected_utility,
     generate,
     solve_baseline,
     solve_deterministic,
@@ -27,7 +26,8 @@ print(f"\nDeterministic solver: {report.outcome_kind}")
 print(f"  lottery: {report.lottery}")
 print(f"  membership queries used: {report.ledger.total}")
 for i, agent in enumerate(inst.agents, start=1):
-    value = expected_utility(agent, report.lottery)
+    # Expected utility <u, x>, exactly: every coordinate is a Fraction.
+    value = sum(u * p for u, p in zip(agent.utilities, report.lottery.probs))
     print(f"  agent {i}: expected utility {value} >= {agent.threshold}")
 
 # An impossible committee: agent 1 wants mostly alternative 1, agent 2

@@ -8,7 +8,7 @@ so the cost of a decision is the number of queries issued.
 The package provides:
 
 * exact rational primitives (lotteries, agents, instances) in :mod:`core`,
-* a counting membership-query oracle in :mod:`oracle`,
+* a counting membership-query oracle, the one way to ask agents, in :mod:`oracle`,
 * single-agent halfspace elicitation in :mod:`geometry`,
 * exact feasibility / lexicographic selection / infeasibility witnesses
   in :mod:`feasibility`,
@@ -27,7 +27,6 @@ from unanimity.core import (
     Instance,
     Lottery,
     edge_lottery,
-    expected_utility,
     pairwise_projection,
     parse_rational,
     format_rational,
@@ -79,7 +78,6 @@ __all__ = [
     "edge_lottery",
     "exact_threshold",
     "exact_threshold_pred",
-    "expected_utility",
     "feasible_full",
     "format_rational",
     "generate",

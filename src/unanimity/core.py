@@ -10,10 +10,11 @@ utility and threshold is a multiple of epsilon, so in units of epsilon
 they are ints.  A lottery carries its coordinates over one common
 denominator, so the membership test ``<u_i, x> >= tau_i``
 (:meth:`unanimity.oracle.Oracle.query`) compares exact integers and builds
-no Fraction per query.  ``AgentSpec`` is the rational form of an agent:
-instances can be built from it, and ``Instance.agents`` gives it back as a
-view; the file reader, ``quantize`` and every generator build the integer
-rows directly, and ``_grid_units`` is the one rational-to-units conversion.
+no Fraction per query; this module has no Fraction inner product beside
+it.  ``AgentSpec`` is the rational form of an agent: instances can be
+built from it, and ``Instance.agents`` gives it back as a view; the file
+reader, ``quantize`` and every generator build the integer rows directly,
+and ``_grid_units`` is the one rational-to-units conversion.
 """
 
 from __future__ import annotations
@@ -122,9 +123,6 @@ class Lottery:
     def __getitem__(self, idx: int) -> Fraction:
         return self.probs[idx]
 
-    def __len__(self) -> int:
-        return len(self.probs)
-
     def __str__(self) -> str:
         return "(" + ", ".join(format_rational(p) for p in self.probs) + ")"
 
@@ -172,6 +170,9 @@ class Instance:
 
     def __init__(self, m: int, epsilon, agents: Sequence[AgentSpec]) -> None:
         epsilon = _as_fraction(epsilon)
+        # bool is an int subclass.
+        if type(m) is not int:
+            raise ValueError(f"m must be an integer (got {m!r})")
         if m < 1:
             raise ValueError("need at least one alternative")
         # In lowest terms, 1/epsilon is an integer >= 2 iff epsilon = 1/Q, Q >= 2.
@@ -221,13 +222,6 @@ class Instance:
     @property
     def inv_epsilon(self) -> int:
         return self.epsilon.denominator
-
-
-def expected_utility(agent: AgentSpec, x: Lottery) -> Fraction:
-    """Exact inner product of the agent's utilities with the lottery."""
-    if agent.m != x.m:
-        raise ValueError(f"dimension mismatch: agent has {agent.m}, lottery {x.m}")
-    return sum((u * p for u, p in zip(agent.utilities, x.probs)), ZERO)
 
 
 def edge_lottery(k: int, kprime: int, alpha, m: int) -> Lottery:

@@ -348,9 +348,13 @@ def read_instance(path) -> Instance:
         for idx, a in enumerate(agents, start=1):
             # A string or an object "u" would iterate its characters or keys.
             # json.load builds plain dicts and lists, so exact type tests do.
-            if not (type(a) is dict and type(u := a.get("u")) is list):
-                raise TypeError(f'agent {idx}: want {{"u": [...], "tau": ...}}')
-            tau = a["tau"]
+            # A missing "u" or "tau" is reported as a non-object agent is.
+            try:
+                if not (type(a) is dict and type(u := a.get("u")) is list):
+                    raise KeyError
+                tau = a["tau"]
+            except KeyError:
+                raise TypeError(f'agent {idx}: want {{"u": [...], "tau": ...}}') from None
             try:
                 U = tuple(map(to_units, u))
                 T = to_units(tau)

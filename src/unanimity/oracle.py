@@ -4,7 +4,7 @@ The oracle is the only channel through which a solver may observe agent
 preferences.  Every call is counted -- there is no transparent caching, so
 query totals reflect oracle calls exactly.  Answers come from a hidden
 :class:`~unanimity.core.Instance`: the oracle decides membership on its
-integer ``grid_rows`` itself.
+integer ``grid_rows`` itself.  Solvers scan agents with :meth:`Oracle.rejecters`.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
+from itertools import islice
 from operator import mul
-from typing import IO, Optional
+from typing import IO, Iterable, Optional
 
 from unanimity.core import Instance, Lottery, format_rational
 
@@ -67,14 +68,6 @@ class QueryLedger:
         """Queries past ``TRACE_CAP`` that the trace did not keep."""
         return 0 if self.trace is None else self.total - len(self.trace)
 
-    def count(self, cat: QueryCategory) -> int:
-        return self.per_category.get(cat, 0)
-
-    def check(self) -> None:
-        """Assert the internal consistency invariant."""
-        assert self.agent_counts[0] == 0
-        assert self.total == sum(self.agent_counts)
-
     def write_trace_csv(self, fh: IO[str]) -> None:
         if self.trace is None:
             raise ValueError("trace capture was not enabled")
@@ -116,8 +109,7 @@ class Oracle:
         """Ask agent ``i`` (1-based) whether it accepts lottery ``x``.
 
         With (U, T) the agent's grid row and x = P/D, the agent accepts iff
-        sum_j U_j P_j >= T D, decided exactly over Python ints;
-        ``expected_utility`` is the Fraction reference for the same test.
+        sum_j U_j P_j >= T D, decided exactly over Python ints.
         Raises IndexError for an agent outside 1..n and ValueError for a
         lottery of the wrong dimension.
         """
@@ -138,3 +130,11 @@ class Oracle:
         if trace is not None and len(trace) < TRACE_CAP:
             trace.append((i, cat, x, answer))
         return answer
+
+    def rejecters(self, x: Lottery, agents: Iterable[int], cat: QueryCategory,
+                  first: bool = False) -> list[int]:
+        """The agents of ``agents`` that reject ``x``, asked in order, each
+        through :meth:`query`; with ``first`` the scan stops at the first."""
+        query = self.query
+        found = (i for i in agents if not query(i, x, cat))
+        return list(islice(found, 1 if first else None))

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, filterfalse
 from typing import Optional
 
 from unanimity.core import Lottery, format_rational
@@ -144,13 +144,7 @@ def _check_hint(o: Oracle, x_hat: Lottery) -> bool:
     A hint of the wrong dimension is a ValueError, even with no agent to ask."""
     if x_hat.m != o.m:
         raise ValueError(f"dimension mismatch: instance has {o.m}, lottery hint {x_hat.m}")
-    # Bound once per scan: an enum member lookup costs about ten local reads.
-    query, cat = o.query, QueryCategory.ADVICE_CHECK
-    unanimous = True
-    for i in range(1, o.n + 1):
-        if not query(i, x_hat, cat):
-            unanimous = False
-    return unanimous
+    return not o.rejecters(x_hat, range(1, o.n + 1), QueryCategory.ADVICE_CHECK)
 
 
 def solve_baseline(o: Oracle) -> SolveReport:
@@ -192,22 +186,17 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
         if _check_hint(o, warm):
             return _report(o, learned, iterations, lottery=warm)
 
-    query, cat = o.query, QueryCategory.VERIFICATION
     while True:
         iterations += 1
         C = ConstraintSet(o.m, _rows(learned))
         x = select(C)
         if x is None:
             return _report(o, learned, iterations, witness=helly_witness(C))
-        violator = None
-        for i in order:
-            if i in learned:
-                continue
-            if not query(i, x, cat):
-                violator = i
-                break
-        if violator is None:
+        violators = o.rejecters(x, filterfalse(learned.__contains__, order),
+                                QueryCategory.VERIFICATION, first=True)
+        if not violators:
             return _report(o, learned, iterations, lottery=x)
+        violator = violators[0]
         row = learned[violator] = learn_hyperplane(o, violator, warm=warm)
         if row is not None and not any(row[0]):
             return _report(o, learned, iterations, reject_all=violator)
@@ -277,7 +266,6 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         if _check_hint(o, warm):
             return _report(o, learned, iterations, lottery=warm, seed=seed)
 
-    query, cat = o.query, QueryCategory.VERIFICATION
     while True:
         iterations += 1
         r_prime = min(r, total)
@@ -291,7 +279,7 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         x = select(C)
         if x is None:
             return _report(o, learned, iterations, witness=helly_witness(C), seed=seed)
-        violators = [i for i in range(1, n + 1) if not query(i, x, cat)]
+        violators = o.rejecters(x, range(1, n + 1), QueryCategory.VERIFICATION)
         if not violators:
             return _report(o, learned, iterations, lottery=x, seed=seed)
         for i in violators:

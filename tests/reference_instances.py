@@ -1,5 +1,11 @@
-"""Test-only references for instances: the Fraction-based generators,
-quantizer, reader and writer.
+"""Test-only references for instances: the Fraction inner product, the
+ledger invariant, and the Fraction-based generators, quantizer, reader and
+writer.
+
+``expected_utility`` is the oracle's stated reference: agent i accepts x
+iff ``expected_utility(inst.agents[i - 1], x) >= inst.agents[i - 1].threshold``,
+which ``Oracle.query`` decides over integers instead.  ``check_ledger``
+asserts the invariant every ``QueryLedger`` keeps.
 
 These are the generator families, ``quantize``, ``read_instance`` and
 ``write_instance`` as they were before instances were built and stored as
@@ -33,6 +39,20 @@ from unanimity.solvers import Advice
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def expected_utility(agent: AgentSpec, x: Lottery) -> Fraction:
+    """Exact inner product of the agent's utilities with the lottery."""
+    if agent.m != x.m:
+        raise ValueError(f"dimension mismatch: agent has {agent.m}, lottery {x.m}")
+    return sum((u * p for u, p in zip(agent.utilities, x.probs)), ZERO)
+
+
+def check_ledger(ledger) -> None:
+    """Assert the ledger's consistency invariant: slot 0 is unused, and the
+    per-category counts add up to the per-agent ones."""
+    assert ledger.agent_counts[0] == 0
+    assert ledger.total == sum(ledger.agent_counts)
 
 
 def _require(params: dict, *names: str) -> list:

@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as F
 
 from scipy.stats import chisquare, hypergeom
+from reference_instances import expected_utility
 
 from unanimity import (
     Advice,
@@ -21,7 +22,6 @@ from unanimity import (
     Oracle,
     QueryCategory,
     exact_threshold,
-    expected_utility,
     feasible_full,
     generate,
     learn_hyperplane,
@@ -152,7 +152,7 @@ def test_criterion_4_closed_form_threshold():
         alpha = exact_threshold(o, 1, k, kp)
         u_k, u_kp = agent.utilities[k - 1], agent.utilities[kp - 1]
         ok &= alpha == (agent.threshold - u_k) / (u_kp - u_k)
-        ok &= o.ledger.count(QueryCategory.THRESHOLD_SEARCH) <= bisection_budget(Q)
+        ok &= o.ledger.per_category.get(QueryCategory.THRESHOLD_SEARCH, 0) <= bisection_budget(Q)
         checked += 1
     elapsed = time.time() - start
     ok &= elapsed < 60.0

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_instances import expected_utility
 
 from unanimity import (
     AgentSpec,
@@ -12,7 +13,6 @@ from unanimity import (
     Oracle,
     QueryCategory,
     edge_lottery,
-    expected_utility,
     format_rational,
     pairwise_projection,
     parse_rational,
@@ -127,6 +127,13 @@ class TestAgentAndInstance:
     def test_instance_nonpositive_epsilon_rejected(self, eps):
         with pytest.raises(ValueError, match="1/epsilon must be an integer >= 2"):
             Instance(2, eps, [])
+
+    def test_instance_m_must_be_an_int(self):
+        # bool is an int subclass; the file reader and generate() refuse both.
+        with pytest.raises(ValueError, match=r"^m must be an integer \(got 2\.0\)$"):
+            Instance(2.0, "1/10", [AgentSpec(["1", "0"], "1/2")])
+        with pytest.raises(ValueError, match=r"^m must be an integer \(got True\)$"):
+            Instance(True, "1/10", [AgentSpec(["1"], "1/2")])
 
     def test_edge_point_validation(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference_instances import expected_utility
 from reference_lp import helly_witness_reference, select_reference
 from tableau_lp import select as select_tableau
 
@@ -17,7 +18,6 @@ from unanimity import (
     HellyWitness,
     Instance,
     Lottery,
-    expected_utility,
     feasible_full,
     generate,
     helly_witness,

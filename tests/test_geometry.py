@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_instances import expected_utility
 
 from unanimity import (
     AgentSpec,
@@ -16,7 +17,6 @@ from unanimity import (
     QueryCategory,
     exact_threshold,
     exact_threshold_pred,
-    expected_utility,
     edge_lottery,
     generate,
     learn_hyperplane,
@@ -146,7 +146,7 @@ class TestExactThreshold:
                 alpha = exact_threshold(o, 1, k, kp)
                 assert alpha == closed_form(agent, k, kp)
                 assert alpha.denominator <= Q
-                assert o.ledger.count(TS) <= budget[Q]
+                assert o.ledger.per_category.get(TS, 0) <= budget[Q]
                 checked += 1
 
     @pytest.mark.parametrize("Q", [1000, 10**6, 999_999_937, 10**9])
@@ -159,7 +159,7 @@ class TestExactThreshold:
             for k, kp in rejected_accepted_pairs(agent):
                 o = Oracle(inst)
                 assert exact_threshold(o, 1, k, kp) == closed_form(agent, k, kp)
-                assert o.ledger.count(TS) <= bisection_budget(Q)
+                assert o.ledger.per_category.get(TS, 0) <= bisection_budget(Q)
                 checked += 1
 
     def test_budget_value(self):
@@ -287,8 +287,8 @@ class TestLearnHyperplane:
             inst = random_instance(rng, 1, m, Q)
             o = Oracle(inst)
             learn_hyperplane(o, 1)
-            assert o.ledger.count(QueryCategory.PURE_VERTEX) == m
-            assert o.ledger.count(TS) <= (m - 1) * bisection_budget(Q)
+            assert o.ledger.per_category.get(QueryCategory.PURE_VERTEX, 0) == m
+            assert o.ledger.per_category.get(TS, 0) <= (m - 1) * bisection_budget(Q)
 
     def test_warm_start_same_halfspace(self):
         rng = random.Random(17)

@@ -5,7 +5,8 @@ For each module of ``src/unanimity`` except ``__init__.py`` (whose imports
 are the public re-exports), every imported name, every top-level private
 function or class and every module constant (an upper-case top-level
 name) must be read somewhere in the module itself.  Leftovers of a
-refactor fail here.
+refactor fail here.  ``solvers.py`` also never reads an attribute named
+``query``: its scans ask agents through ``Oracle.rejecters``.
 """
 
 import ast
@@ -53,3 +54,13 @@ def test_no_unused_module_names(path):
     unused = sorted(f"{name} ({kind})" for name, kind in _defined(tree).items()
                     if name not in read)
     assert not unused, f"{path.name} never reads: {', '.join(unused)}"
+
+
+def test_solvers_ask_agents_only_through_rejecters():
+    # Every scan over agents goes through Oracle.rejecters, so the scan can
+    # change in one place; a solver that reads ``.query`` asks on its own.
+    path = PACKAGE / "solvers.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "query"]
+    assert not lines, f"solvers.py reads .query on line(s) {lines}"

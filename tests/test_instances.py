@@ -9,6 +9,7 @@ from fractions import Fraction as F
 import pytest
 import reference_instances
 from hypothesis import given, settings, strategies as st
+from reference_instances import expected_utility
 
 from unanimity import (
     Advice,
@@ -17,7 +18,6 @@ from unanimity import (
     Instance,
     Lottery,
     Oracle,
-    expected_utility,
     feasible_full,
     generate,
     quantize,
@@ -316,6 +316,18 @@ class TestFileFormat:
                 "agents": [{"u": ["1", "0"], "tau": "1/2"}, bad],
             }))
             with pytest.raises(ValueError, match="^agent 2: "):
+                read_instance(path)
+
+    def test_structural_error_names_the_agent(self, tmp_path):
+        # An agent that is not an object, or lacks "u" or "tau", is named
+        # like a bad value is (again the second, after a valid first one).
+        path = tmp_path / "bad.instance.json"
+        for bad in ({"u": ["1", "0"]}, {"tau": "1/2"}, 5):
+            path.write_text(json.dumps({
+                "m": 2, "inv_epsilon": 10,
+                "agents": [{"u": ["1", "0"], "tau": "1/2"}, bad],
+            }))
+            with pytest.raises(ValueError, match="agent 2: want"):
                 read_instance(path)
 
     def test_malformed_json(self, tmp_path):

@@ -2,9 +2,11 @@
 
 import io
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
+from reference_instances import check_ledger, expected_utility
 
 from unanimity import oracle
 from unanimity import (
@@ -16,7 +18,6 @@ from unanimity import (
     Oracle,
     QueryCategory,
     edge_lottery,
-    expected_utility,
     generate,
     learn_hyperplane,
     solve_baseline,
@@ -94,7 +95,7 @@ class TestLedger:
         assert o.ledger.total == 3
         assert o.ledger.per_agent == {1: 2, 2: 1}
         assert o.ledger.per_category == {PV: 2, VER: 1}
-        o.ledger.check()
+        check_ledger(o.ledger)
 
     def test_per_agent_lists_agents_asked_in_ascending_order(self):
         inst = Instance(2, F(1, 10), [AgentSpec([1, 0], "0.5")] * 6)
@@ -106,7 +107,7 @@ class TestLedger:
         assert list(ledger.per_category) == [VER, PV]  # first asked first
         assert ledger.total == sum(ledger.per_category.values()) == 5
         assert ledger.agent_counts == [0, 0, 2, 1, 0, 2, 0]
-        ledger.check()
+        check_ledger(ledger)
 
     def test_learn_hyperplane_query_bound(self):
         # m=3, 1/eps=10: at most 3 vertex queries + 2 searches of <= 8 each.
@@ -143,6 +144,69 @@ class TestLedger:
         for _ in range(5):
             o.query(1, Lottery.pure(1, 3), PV)
         assert o.ledger.trace_dropped == 0
+
+
+@st.composite
+def scans(draw):
+    """A small instance, a few queries already asked, a lottery, a sequence
+    of agents to scan (now and then with one out of range), a category, and
+    whether to stop at the first rejecter."""
+    m, Q, n = draw(st.integers(1, 3)), draw(st.integers(2, 6)), draw(st.integers(0, 6))
+    grid = st.integers(0, Q)
+    inst = Instance(m, F(1, Q), [
+        AgentSpec([F(draw(grid), Q) for _ in range(m)], F(draw(st.integers(1, Q)), Q))
+        for _ in range(n)])
+    parts = draw(st.lists(st.integers(0, 4), min_size=m, max_size=m).filter(any))
+    x = Lottery([F(p, sum(parts)) for p in parts])
+    cats = st.sampled_from(QueryCategory)
+    asked = st.integers(1, n) if n else st.nothing()
+    before = draw(st.lists(st.tuples(asked, cats), max_size=3 if n else 0))
+    agents = draw(st.lists(asked, max_size=10 if n else 0))
+    if draw(st.booleans()) and draw(st.booleans()):
+        agents.insert(draw(st.integers(0, len(agents))), draw(st.sampled_from([0, n + 1])))
+    return inst, before, x, agents, draw(cats), draw(st.booleans())
+
+
+class TestRejecters:
+    """``Oracle.rejecters`` asks exactly what a plain ``query`` loop asks."""
+
+    @staticmethod
+    def query_loop(o, x, agents, cat, first):
+        out = []
+        for i in agents:
+            if not o.query(i, x, cat):
+                out.append(i)
+                if first:
+                    break
+        return out
+
+    @staticmethod
+    def outcome(scan, inst, before, x, agents, cat, first):
+        o = Oracle(inst, capture_trace=True)
+        for i, c in before:
+            o.query(i, Lottery.pure(1, inst.m), c)
+        try:
+            result = scan(o, x, iter(agents), cat, first)
+        except IndexError as exc:
+            result = ("IndexError", str(exc))
+        ledger = o.ledger
+        return (result, ledger.agent_counts, list(ledger.per_category.items()),
+                ledger.trace, ledger.trace_dropped)
+
+    @given(scans(), st.sampled_from([1, 2, 4, oracle.TRACE_CAP]))
+    def test_matches_a_query_loop(self, scan, cap):
+        with mock.patch.object(oracle, "TRACE_CAP", cap):
+            assert (self.outcome(Oracle.rejecters, *scan)
+                    == self.outcome(self.query_loop, *scan))
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_out_of_range_agent_raises_after_counting_the_ones_before(self, first):
+        o = Oracle(example_instance())
+        # Every agent accepts x; agent 4 is out of range.
+        with pytest.raises(IndexError):
+            o.rejecters(Lottery(["0.25", "0.60", "0.15"]), [1, 3, 4, 2], VER, first=first)
+        assert o.ledger.agent_counts == [0, 1, 0, 1]
+        assert o.ledger.per_category == {VER: 2}
 
 
 class TestSingleEntryPoint:
@@ -186,7 +250,7 @@ class TestSingleEntryPoint:
             report = solve(Oracle(inst, capture_trace=True))
             ledger = report.ledger
             assert len(calls) == ledger.total > 0
-            ledger.check()
+            check_ledger(ledger)
             # Only categories that were asked appear, never a zero count.
             assert all(c > 0 for c in ledger.per_category.values())
             # The trace keeps the first TRACE_CAP queries, in order.

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_instances import check_ledger, expected_utility
 
 from unanimity import (
     Advice,
@@ -16,7 +17,6 @@ from unanimity import (
     Lottery,
     Oracle,
     QueryCategory,
-    expected_utility,
     feasible_full,
     generate,
     solve_baseline,
@@ -97,7 +97,7 @@ class TestOutcomes:
     def test_ledgers_always_consistent(self):
         for _, run in ALL_SOLVERS:
             report = run(Oracle(example_23()))
-            report.ledger.check()
+            check_ledger(report.ledger)
 
 
 class TestDeterministic:
@@ -137,7 +137,7 @@ class TestDeterministic:
         report = solve_deterministic(Oracle(inst), Advice(x_hat=x_hat))
         assert report.accepted and report.lottery == x_hat
         assert report.ledger.total == inst.n
-        assert report.ledger.count(QueryCategory.ADVICE_CHECK) == inst.n
+        assert report.ledger.per_category.get(QueryCategory.ADVICE_CHECK, 0) == inst.n
 
     def test_bad_lottery_hint_still_correct(self):
         inst = example_23()
@@ -349,7 +349,7 @@ class TestDegenerateInstances:
             report = run(Oracle(inst))
             assert report.accepted == feasible, name
             assert_sound(inst, report)
-            report.ledger.check()
+            check_ledger(report.ledger)
 
     def test_no_agents_accept_the_lex_max_vertex_without_a_query(self):
         for name, run in ALL_SOLVERS:
