@@ -14,7 +14,9 @@ grid, and a lossless JSON file format.  The generators, ``quantize`` and
 no ``AgentSpec`` per agent.  ``write_instance`` writes exactly the bytes
 of ``json.dumps(doc, indent=2)``, from the JSON text of each distinct
 value laid out per agent, without CPython's pure-Python indenting
-encoder.
+encoder.  Both directions spell and read the file's ``"p/q"`` values with
+int arithmetic, and ``read_instance`` builds its rows by passes over the
+whole agent list.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import random
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 from unanimity.core import (
+    MAX_EXPONENT,
     Instance,
     Lottery,
     _as_fraction,
@@ -294,12 +298,17 @@ def write_instance(inst: Instance, path) -> None:
 
     The file holds exactly ``json.dumps(doc, indent=2)`` plus a newline, but
     CPython runs its pure-Python encoder whenever ``indent`` is set.  Here
-    the C encoder makes the JSON text of each distinct value once, and each
+    the JSON text of each distinct value is made once, from ints, and each
     agent's text is that layout joined around it.
     """
     Q = inst.inv_epsilon
-    text = _Memo(lambda units: json.dumps(format_rational(Fraction(units, Q))))
-    value = text.__getitem__
+
+    def units_text(units: int) -> str:
+        # format_rational(Fraction(units, Q)) as JSON, from ints: "p" or "p/q".
+        g = math.gcd(units, Q)
+        return f'"{units // g}"' if g == Q else f'"{units // g}/{Q // g}"'
+
+    value = _Memo(units_text).__getitem__
     rows = ['{\n      "u": [\n        ' + ",\n        ".join(map(value, U))
             + '\n      ],\n      "tau": ' + value(T) + "\n    }"
             for U, T in inst.grid_rows]
@@ -309,12 +318,67 @@ def write_instance(inst: Instance, path) -> None:
                  f'\n  "agents": {agents}\n}}\n')
 
 
+def _grid_rows(agents: list, m: int, to_units) -> tuple:
+    """The rows of an agent list that is all well formed, built by passes
+    over the whole list: every agent an object with a list ``"u"`` of m
+    values and a ``"tau"``, every value on the grid and every threshold
+    positive.  Anything else raises KeyError, TypeError or ValueError,
+    without naming the agent."""
+    # Of the values json.load builds, only an object takes a string key.
+    us = list(map(itemgetter("u"), agents))
+    if not ({list}.issuperset(map(type, us)) and {m}.issuperset(map(len, us))):
+        raise TypeError
+    T = list(map(to_units, map(itemgetter("tau"), agents)))
+    if 0 in T:
+        raise ValueError
+    # Every "u" holds m values, so m at a time they regroup into the rows' U.
+    return tuple(zip(zip(*[map(to_units, chain.from_iterable(us))] * m), T))
+
+
+def _agent_rows(agents: list, m: int, units: _Memo) -> tuple:
+    """The rows of an agent list, one agent at a time; a ValueError or a
+    TypeError names the first bad agent."""
+    to_units = units.__getitem__
+    rows = []
+    for idx, a in enumerate(agents, start=1):
+        # A string or an object "u" would iterate its characters or keys.
+        # json.load builds plain dicts and lists, so exact type tests do.
+        # A missing "u" or "tau" is reported as a non-object agent is.
+        try:
+            if not (type(a) is dict and type(u := a.get("u")) is list):
+                raise KeyError
+            tau = a["tau"]
+        except KeyError:
+            raise TypeError(f'agent {idx}: want {{"u": [...], "tau": ...}}') from None
+        try:
+            U = tuple(map(to_units, u))
+            T = to_units(tau)
+        except (ValueError, TypeError) as exc:
+            # The first value not in the table is the one that failed; a
+            # list or an object is unhashable, so never in it.
+            where, text = next(((f"utility for alternative {j}", text)
+                                for j, text in enumerate(u, start=1)
+                                if type(text) is not str or text not in units),
+                               ("threshold", tau))
+            reason = exc if isinstance(exc, ValueError) else "is not a rational string"
+            raise ValueError(f"agent {idx}: {where} {text!r} {reason}") from None
+        if len(U) != m:
+            raise ValueError(f"agent {idx}: expected {m} utilities, got {len(U)}")
+        if not T:
+            raise ValueError(f"agent {idx}: threshold {tau!r} is not positive")
+        rows.append((U, T))
+    return tuple(rows)
+
+
 def read_instance(path) -> Instance:
     """Parse and validate an instance file; raises ValueError naming the
     offending agent on any range, length or quantization violation.
 
     Each value goes straight from its string to an integer in units of
-    epsilon; no AgentSpec or per-value Fraction is built.
+    epsilon, with int arithmetic for the writer's spelling ``"p"`` or
+    ``"p/q"``; no AgentSpec is built, nor a Fraction for such a value.  The
+    rows are built by passes over the whole agent list, and only a file
+    that fails them is read again agent by agent, to name the first bad one.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -333,6 +397,18 @@ def read_instance(path) -> Instance:
                              f"inv_epsilon >= 2, got m={m}, inv_epsilon={Q}")
 
         def text_units(text) -> int:
+            # ASCII digits "p" or "p/q" with 0 <= p/q <= 1 on the grid are
+            # p*Q/q units.  The length bound keeps each part within int()'s
+            # digit limit.  Every other string, and every error, goes
+            # through parse_rational and _grid_units.
+            if type(text) is str and len(text) <= MAX_EXPONENT and text.isascii():
+                num, slash, den = text.partition("/")
+                if num.isdigit() and (den.isdigit() or not slash):
+                    p, q = int(num), int(den) if slash else 1
+                    if 0 < q and p <= q:
+                        units, off = divmod(p * Q, q)
+                        if not off:
+                            return units
             try:
                 value = parse_rational(text)
             except ValueError:
@@ -343,35 +419,10 @@ def read_instance(path) -> Instance:
         # become keys (parse_rational rejects the rest); an unhashable value
         # is a TypeError.
         units = _Memo(text_units)
-        to_units = units.__getitem__
-        rows = []
-        for idx, a in enumerate(agents, start=1):
-            # A string or an object "u" would iterate its characters or keys.
-            # json.load builds plain dicts and lists, so exact type tests do.
-            # A missing "u" or "tau" is reported as a non-object agent is.
-            try:
-                if not (type(a) is dict and type(u := a.get("u")) is list):
-                    raise KeyError
-                tau = a["tau"]
-            except KeyError:
-                raise TypeError(f'agent {idx}: want {{"u": [...], "tau": ...}}') from None
-            try:
-                U = tuple(map(to_units, u))
-                T = to_units(tau)
-            except (ValueError, TypeError) as exc:
-                # The first value not in the table is the one that failed; a
-                # list or an object is unhashable, so never in it.
-                where, text = next(((f"utility for alternative {j}", text)
-                                    for j, text in enumerate(u, start=1)
-                                    if type(text) is not str or text not in units),
-                                   ("threshold", tau))
-                reason = exc if isinstance(exc, ValueError) else "is not a rational string"
-                raise ValueError(f"agent {idx}: {where} {text!r} {reason}") from None
-            if len(U) != m:
-                raise ValueError(f"agent {idx}: expected {m} utilities, got {len(U)}")
-            if not T:
-                raise ValueError(f"agent {idx}: threshold {tau!r} is not positive")
-            rows.append((U, T))
+        try:
+            rows = _grid_rows(agents, m, units.__getitem__)
+        except (KeyError, TypeError, ValueError):
+            rows = _agent_rows(agents, m, units)
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed instance file {path}: {exc!r}") from exc
-    return Instance._from_grid_rows(m, Q, tuple(rows))
+    return Instance._from_grid_rows(m, Q, rows)

@@ -42,9 +42,9 @@ class QueryLedger:
 
     :meth:`Oracle.query` is the only writer: it counts every query here.
     ``agent_counts[i]`` is agent i's count (slot 0 is unused), so a query
-    costs one list increment and one ``per_category`` update; the total and
-    the per-agent map are derived from those two.  ``per_category`` keeps
-    the order in which categories were first asked.
+    costs one list increment and one ``per_category`` update; the total is
+    derived from ``per_category``, which keeps the order in which
+    categories were first asked.
 
     The trace keeps the first ``TRACE_CAP`` queries; ``trace_dropped``
     counts the queries past the cap that it did not keep.
@@ -57,11 +57,6 @@ class QueryLedger:
     @property
     def total(self) -> int:
         return sum(self.per_category.values())
-
-    @property
-    def per_agent(self) -> dict[int, int]:
-        """Query counts of the agents asked, in ascending agent order."""
-        return {i: c for i, c in enumerate(self.agent_counts) if c}
 
     @property
     def trace_dropped(self) -> int:

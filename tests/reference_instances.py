@@ -5,7 +5,8 @@ writer.
 ``expected_utility`` is the oracle's stated reference: agent i accepts x
 iff ``expected_utility(inst.agents[i - 1], x) >= inst.agents[i - 1].threshold``,
 which ``Oracle.query`` decides over integers instead.  ``check_ledger``
-asserts the invariant every ``QueryLedger`` keeps.
+asserts the invariant every ``QueryLedger`` keeps, and ``per_agent`` reads
+its per-agent counts as a map.
 
 These are the generator families, ``quantize``, ``read_instance`` and
 ``write_instance`` as they were before instances were built and stored as
@@ -53,6 +54,12 @@ def check_ledger(ledger) -> None:
     per-category counts add up to the per-agent ones."""
     assert ledger.agent_counts[0] == 0
     assert ledger.total == sum(ledger.agent_counts)
+
+
+def per_agent(ledger) -> dict[int, int]:
+    """Query counts of the agents asked, in ascending agent order, as the
+    report's ``"per_agent"`` map holds them with string keys."""
+    return {i: c for i, c in enumerate(ledger.agent_counts) if c}
 
 
 def _require(params: dict, *names: str) -> list:

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_instances import expected_utility
+from reference_instances import expected_utility, per_agent
 
 from unanimity import (
     AgentSpec,
@@ -295,4 +295,4 @@ class TestAcceptsAgainstExpectedUtility:
             with pytest.raises(ValueError, match=f"dimension mismatch: agent has 2, lottery {m}"):
                 o.query(1, Lottery.pure(1, m), QueryCategory.VERIFICATION)
         # A refused query is not counted.
-        assert o.ledger.total == 0 and o.ledger.per_agent == {}
+        assert o.ledger.total == 0 and per_agent(o.ledger) == {}

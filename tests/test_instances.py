@@ -25,7 +25,12 @@ from unanimity import (
     solve_deterministic,
     write_instance,
 )
+from unanimity import instances
+from unanimity.core import parse_rational
 from unanimity.instances import FAMILIES
+
+# A utility with 5,000 digits in each part, beyond int()'s digit limit.
+LONG = "1" * 5000 + "/2" + "0" * 4999
 
 
 def random_lottery(rng, m):
@@ -310,19 +315,65 @@ class TestFileFormat:
                     {"u": ["1", "0", "0"], "tau": "1/2"},
                     {"u": ["1", "x"], "tau": "1/2"},
                     {"u": [["1"], "0"], "tau": "1/2"},
-                    {"u": ["1", "0"], "tau": {"x": 1}}):
+                    {"u": ["1", "0"], "tau": {"x": 1}},
+                    {"u": [LONG, "0"], "tau": "1/2"}):
             path.write_text(json.dumps({
                 "m": 2, "inv_epsilon": 10,
                 "agents": [{"u": ["1", "0"], "tau": "1/2"}, bad],
             }))
-            with pytest.raises(ValueError, match="^agent 2: "):
+            with pytest.raises(ValueError, match="^agent 2: ") as info:
                 read_instance(path)
+        # The last file's utility has too many digits for int(), so
+        # Fraction refuses it, whatever its value.
+        assert str(info.value) == (
+            f"agent 2: utility for alternative 1 {LONG!r} is not a rational string")
+
+    @pytest.mark.parametrize("agents, message", [
+        ([{"u": ["1"], "tau": "1/2"}, {"u": ["1", "x"], "tau": "1/2"}],
+         "^agent 2: expected 2 utilities, got 1$"),
+        ([{"u": ["1", "0"]}, {"u": ["1/3", "0"], "tau": "1/2"}],
+         "agent 2: want"),
+        ([{"u": ["1", "0"], "tau": "1/2"}] * 4 + [{"u": ["1", "0"], "tau": "0"}],
+         "^agent 6: threshold '0' is not positive$"),
+        ([{"u": ["\u00b2/4", "0"], "tau": "1/2"}, {"u": ["1/3", "0"], "tau": "1/2"}],
+         "^agent 2: utility for alternative 1 '\u00b2/4' is not a rational string$"),
+    ], ids=["length-then-value", "structure-then-grid", "last-tau-zero", "superscript-digit"])
+    def test_first_bad_agent_is_named(self, tmp_path, agents, message):
+        # Agent 1 is valid; each file is bad from agent 2 on.
+        path = tmp_path / "bad.instance.json"
+        path.write_text(json.dumps({
+            "m": 2, "inv_epsilon": 10,
+            "agents": [{"u": ["1", "0"], "tau": "1/2"}] + agents,
+        }))
+        with pytest.raises(ValueError, match=message):
+            read_instance(path)
+
+    @pytest.mark.parametrize("family, params", [
+        ("random-feasible", {"n": 40, "m": 3, "inv_epsilon": 5000}),
+        ("dummy-padded", {"n": 900, "m": 3, "inv_epsilon": 20}),
+        ("near-threshold", {"inv_epsilon": 4000, "delta": "1/25", "t": 7}),
+    ])
+    def test_writer_spelling_builds_no_fraction(self, tmp_path, monkeypatch, family, params):
+        inst, _, _ = generate(GeneratorSpec(family, params))
+        path = tmp_path / "written.instance.json"
+        write_instance(inst, path)
+        calls = []
+
+        def counted(text):
+            calls.append(text)
+            return parse_rational(text)
+
+        monkeypatch.setattr(instances, "parse_rational", counted)
+        assert read_instance(path) == inst
+        assert calls == []
 
     def test_structural_error_names_the_agent(self, tmp_path):
-        # An agent that is not an object, or lacks "u" or "tau", is named
-        # like a bad value is (again the second, after a valid first one).
+        # An agent that is not an object, lacks "u" or "tau", or has a "u"
+        # that is not a list, is named like a bad value is (again the
+        # second, after a valid first one).
         path = tmp_path / "bad.instance.json"
-        for bad in ({"u": ["1", "0"]}, {"tau": "1/2"}, 5):
+        for bad in ({"u": ["1", "0"]}, {"tau": "1/2"}, 5,
+                    {"u": "10", "tau": "1/2"}, {"u": {"1": 0, "0": 1}, "tau": "1/2"}):
             path.write_text(json.dumps({
                 "m": 2, "inv_epsilon": 10,
                 "agents": [{"u": ["1", "0"], "tau": "1/2"}, bad],
@@ -384,10 +435,13 @@ def _grid_spellings(Q, low=0):
 
 
 # Values a broken instance file might hold: off-grid and out-of-range
-# rationals, JSON numbers and bools, unparsable strings.
+# rationals, JSON numbers and bools, unparsable strings, and spellings
+# near the writer's "p/q" (leading zeros, an underscore, non-ASCII digits,
+# a superscript, empty parts).
 _ODD_VALUES = st.one_of(
     st.sampled_from(["0", "1", "0.65", "0.5", "1/3", "2/7", "3/2", "-1/10", "-0", "1/0",
-                     "", "x", "1e-1", "+1/2", "0.333"]),
+                     "", "x", "1e-1", "+1/2", "0.333", "007/20", "1/020", "1_0/20",
+                     "\u0661/\u0662", "\uff11/\uff12", "\u00b2/4", "0/0", "1/", "/2"]),
     st.sampled_from([0, 1, 0.5, 1.0, True, False, None, ["1"], {"u": "1"}]),
 )
 

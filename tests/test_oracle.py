@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
-from reference_instances import check_ledger, expected_utility
+from reference_instances import check_ledger, expected_utility, per_agent
 
 from unanimity import oracle
 from unanimity import (
@@ -84,7 +84,7 @@ class TestLedger:
     def test_fresh_oracle_all_zero(self):
         o = Oracle(example_instance())
         ledger = o.ledger
-        assert ledger.total == 0 and ledger.per_agent == {} and ledger.per_category == {}
+        assert ledger.total == 0 and per_agent(ledger) == {} and ledger.per_category == {}
 
     def test_counting_and_consistency(self):
         o = Oracle(example_instance())
@@ -93,7 +93,7 @@ class TestLedger:
         o.query(1, Lottery.pure(1, 3), PV)  # repeats are counted, never cached
         o.query(2, Lottery.pure(2, 3), VER)
         assert o.ledger.total == 3
-        assert o.ledger.per_agent == {1: 2, 2: 1}
+        assert per_agent(o.ledger) == {1: 2, 2: 1}
         assert o.ledger.per_category == {PV: 2, VER: 1}
         check_ledger(o.ledger)
 
@@ -103,7 +103,7 @@ class TestLedger:
         for i, cat in ((5, VER), (2, PV), (5, PV), (3, VER), (2, VER)):
             o.query(i, Lottery.pure(1, 2), cat)
         ledger = o.ledger
-        assert list(ledger.per_agent.items()) == [(2, 2), (3, 1), (5, 2)]
+        assert list(per_agent(ledger).items()) == [(2, 2), (3, 1), (5, 2)]
         assert list(ledger.per_category) == [VER, PV]  # first asked first
         assert ledger.total == sum(ledger.per_category.values()) == 5
         assert ledger.agent_counts == [0, 0, 2, 1, 0, 2, 0]

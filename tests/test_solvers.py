@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference_instances import check_ledger, expected_utility
+from reference_instances import check_ledger, expected_utility, per_agent
 
 from unanimity import (
     Advice,
@@ -92,7 +92,7 @@ class TestOutcomes:
         assert report.reject_all_agent == 2
         # RejectAll is detected from the vertex scan (m queries), possibly
         # after one verification query flagged the agent as a violator.
-        assert report.ledger.per_agent[2] <= 3
+        assert per_agent(report.ledger)[2] <= 3
 
     def test_ledgers_always_consistent(self):
         for _, run in ALL_SOLVERS:
