@@ -4,10 +4,12 @@ An agent's acceptable set is a halfspace intersected with the simplex.  On
 any edge from a rejected vertex e_k to an accepted vertex e_k' the agent's
 answer flips exactly once, at a turning point whose reduced denominator is
 bounded by 1/epsilon.  Bisection brackets the turning point inside an
-interval too narrow to contain two such rationals, after which rational
-reconstruction recovers it exactly with zero further queries: the
-continued-fraction best approximation of the bracket's midpoint
-(``Fraction.limit_denominator``), O(log 1/epsilon) steps.
+interval eps^2/2 wide, too narrow to contain two such rationals; the
+bracket's width alone fixes how many halvings that takes, so it is counted
+once in integers, exactly ``bisection_budget(1/eps)`` from [0, 1].  Rational
+reconstruction then recovers the turning point exactly with zero further
+queries: the continued-fraction best approximation of the bracket's
+midpoint (``Fraction.limit_denominator``), O(log 1/epsilon) steps.
 
 ``learn_hyperplane`` stitches m - 1 turning points into an integer row
 (a, b) with acceptance test <a, x> >= b, the form the LP layer pivots on.
@@ -31,7 +33,7 @@ ONE = Fraction(1)
 
 
 def bisection_budget(inv_epsilon: int) -> int:
-    """Max ThresholdSearch queries per turning point: ceil(log2(2/eps^2)),
+    """ThresholdSearch queries per cold turning point: ceil(log2(2/eps^2)),
     in integers: ceil(log2 N) is the bit length of N - 1."""
     return (2 * inv_epsilon * inv_epsilon - 1).bit_length()
 
@@ -62,12 +64,21 @@ def _edge_query(o: Oracle, i: int, k: int, kprime: int, alpha: Fraction) -> bool
 def _finish_bracket(
     o: Oracle, i: int, k: int, kprime: int, lower: Fraction, upper: Fraction
 ) -> Fraction:
-    """Bisect an answer-bracketing interval down to the uniqueness width."""
-    Q = int(1 / o.epsilon)
-    gap = Fraction(1, 2 * Q * Q)  # eps^2 / 2
-    while upper - lower > gap:
+    """Bisect an answer-bracketing interval down to the uniqueness width.
+
+    The width w = upper - lower fixes the number of halvings: the least
+    s >= 0 with w / 2^s <= eps^2/2, that is w * 2Q^2 <= 2^s with Q = 1/eps,
+    the bit length of ceil(2Q^2 w) - 1.  Exactly ``bisection_budget(Q)``
+    queries for [0, 1], none for a bracket already eps^2/2 wide.
+    """
+    Q = o.inv_epsilon
+    width = upper - lower
+    # ceil as -(-a // b); at least 1, so an empty bracket is never halved.
+    steps = (max(-(-2 * Q * Q * width.numerator // width.denominator), 1) - 1).bit_length()
+    m, query, cat = o.m, o.query, QueryCategory.THRESHOLD_SEARCH
+    for _ in range(steps):
         mid = (lower + upper) / 2
-        if _edge_query(o, i, k, kprime, mid):
+        if query(i, edge_lottery(k, kprime, mid, m), cat):
             upper = mid
         else:
             lower = mid
@@ -81,8 +92,8 @@ def exact_threshold(o: Oracle, i: int, k: int, kprime: int) -> Fraction:
     """Find the turning point on edge (e_k, e_k') by plain bisection.
 
     The caller must already know Query(i, e_k) = False and
-    Query(i, e_k') = True; the endpoints are not re-queried.  Issues at
-    most ``bisection_budget(1/eps)`` ThresholdSearch queries, then
+    Query(i, e_k') = True; the endpoints are not re-queried.  Issues
+    exactly ``bisection_budget(1/eps)`` ThresholdSearch queries, then
     reconstructs the exact rational with no further queries.
     """
     return _finish_bracket(o, i, k, kprime, ZERO, ONE)
@@ -95,27 +106,27 @@ def exact_threshold_pred(
 
     Starting from the predicted coordinate, geometrically growing steps
     bracket the turning point in O(1 + log(1 + |alpha_hat - alpha*|/eps^2))
-    queries before the usual bisection/reconstruction finish.
+    queries before the same counted bisection and reconstruction finish.
     """
     alpha_hat = _as_fraction(alpha_hat)
     if not (ZERO <= alpha_hat <= ONE):
         raise ValueError("alpha_hat must lie in [0, 1]")
-    eps = Fraction(o.epsilon)
-    step = eps * eps / 2
+    Q = o.inv_epsilon
+    step = Fraction(1, 2 * Q * Q)  # eps^2 / 2
     if _edge_query(o, i, k, kprime, alpha_hat):
         # alpha_hat >= alpha*: walk left until the answer flips or we clip at 0.
         upper = alpha_hat
-        while upper - step > 0 and _edge_query(o, i, k, kprime, upper - step):
-            upper -= step
+        while (cand := upper - step) > 0 and _edge_query(o, i, k, kprime, cand):
+            upper = cand
             step *= 2
-        lower = max(ZERO, upper - step)
+        lower = max(ZERO, cand)
     else:
         # alpha_hat < alpha*: walk right until the answer flips or we clip at 1.
         lower = alpha_hat
-        while lower + step < 1 and not _edge_query(o, i, k, kprime, lower + step):
-            lower += step
+        while (cand := lower + step) < 1 and not _edge_query(o, i, k, kprime, cand):
+            lower = cand
             step *= 2
-        upper = min(ONE, lower + step)
+        upper = min(ONE, cand)
     return _finish_bracket(o, i, k, kprime, lower, upper)
 
 
@@ -137,9 +148,12 @@ def learn_hyperplane(
     Pivots are the smallest admissible indices, for deterministic traces.
 
     With ``warm`` given, every turning-point search is seeded with the
-    warm lottery's pairwise projection onto the edge.
+    warm lottery's pairwise projection onto the edge; a warm lottery of
+    another dimension than the instance's is a ValueError.
     """
     m = o.m
+    if warm is not None and warm.m != m:
+        raise ValueError(f"dimension mismatch: instance has {m}, warm lottery {warm.m}")
     accepted: list[int] = []
     rejected: list[int] = []
     query, cat = o.query, QueryCategory.PURE_VERTEX

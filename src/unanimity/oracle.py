@@ -79,7 +79,8 @@ class Oracle:
     One oracle is owned by exactly one solver run, whose report keeps the
     oracle's ledger itself.  The hidden instance is
     deliberately not part of the solver-facing API; solvers receive only
-    ``n``, ``m``, ``epsilon``, and yes/no answers.
+    ``n``, ``m``, the grid ``inv_epsilon`` (1/epsilon, an int), and yes/no
+    answers.
     """
 
     def __init__(self, hidden: Instance, *, capture_trace: bool = False) -> None:
@@ -97,8 +98,8 @@ class Oracle:
         return self._hidden.m
 
     @property
-    def epsilon(self):
-        return self._hidden.epsilon
+    def inv_epsilon(self) -> int:
+        return self._hidden.inv_epsilon
 
     def query(self, i: int, x: Lottery, cat: QueryCategory) -> bool:
         """Ask agent ``i`` (1-based) whether it accepts lottery ``x``.

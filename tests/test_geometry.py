@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import reference_geometry
 from reference_instances import expected_utility
 
 from unanimity import (
@@ -146,7 +147,7 @@ class TestExactThreshold:
                 alpha = exact_threshold(o, 1, k, kp)
                 assert alpha == closed_form(agent, k, kp)
                 assert alpha.denominator <= Q
-                assert o.ledger.per_category.get(TS, 0) <= budget[Q]
+                assert o.ledger.per_category.get(TS, 0) == budget[Q]
                 checked += 1
 
     @pytest.mark.parametrize("Q", [1000, 10**6, 999_999_937, 10**9])
@@ -159,7 +160,7 @@ class TestExactThreshold:
             for k, kp in rejected_accepted_pairs(agent):
                 o = Oracle(inst)
                 assert exact_threshold(o, 1, k, kp) == closed_form(agent, k, kp)
-                assert o.ledger.per_category.get(TS, 0) <= bisection_budget(Q)
+                assert o.ledger.per_category.get(TS, 0) == bisection_budget(Q)
                 checked += 1
 
     def test_budget_value(self):
@@ -214,6 +215,60 @@ class TestExactThresholdPred:
         inst = Instance(2, F(1, 10), [AgentSpec([0, 1], "0.6")])
         with pytest.raises(ValueError, match="exponent beyond"):
             exact_threshold_pred(Oracle(inst), 1, 1, 2, "1e-5000")
+
+
+@st.composite
+def turning_edges(draw):
+    """One agent over m = 2 or 3 whose turning point on the edge (k, k') is
+    a drawn p/q with q <= Q and 0 < p/q <= 1: U_k = base, U_k' = base + q c,
+    T = base + p c.  Returns the instance, k, k' and p/q."""
+    Q = draw(st.integers(2, 5000) | st.just(10**9))
+    q = draw(st.integers(1, Q))
+    p = draw(st.integers(1, q))
+    c = draw(st.integers(1, Q // q))
+    base = draw(st.integers(0, Q - q * c))
+    m = draw(st.integers(2, 3))
+    k, kp = draw(st.permutations(range(1, m + 1)))[:2]
+    U = [draw(st.integers(0, Q)) for _ in range(m)]
+    U[k - 1], U[kp - 1] = base, base + q * c
+    agent = AgentSpec([F(u, Q) for u in U], F(base + p * c, Q))
+    return Instance(m, F(1, Q), [agent]), k, kp, F(p, q)
+
+
+def threshold_trace(o: Oracle):
+    return [(agent, cat, x.probs) for agent, cat, x, _ in o.ledger.trace]
+
+
+class TestCountedHalvings:
+    """The counted halvings ask exactly the queries the width-tested loop in
+    ``reference_geometry`` asks, in order, and return the same turning point."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge=turning_edges())
+    def test_cold_search_matches_width_test_and_budget(self, edge):
+        inst, k, kp, alpha = edge
+        new, old = Oracle(inst, capture_trace=True), Oracle(inst, capture_trace=True)
+        assert exact_threshold(new, 1, k, kp) == alpha
+        assert reference_geometry.exact_threshold(old, 1, k, kp) == alpha
+        assert threshold_trace(new) == threshold_trace(old)
+        assert new.ledger.total == bisection_budget(inst.inv_epsilon)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edge=turning_edges(),
+        kind=st.sampled_from(["zero", "one", "exact", "offset", "random"]),
+        j=st.integers(-4, 4) | st.integers(-2**40, 2**40),
+        rand=st.fractions(0, 1, max_denominator=10**12),
+    )
+    def test_warm_search_matches_width_test(self, edge, kind, j, rand):
+        inst, k, kp, alpha = edge
+        Q = inst.inv_epsilon
+        offset = min(max(alpha + j * F(1, 2 * Q * Q), F(0)), F(1))
+        hint = {"zero": F(0), "one": F(1), "exact": alpha, "offset": offset, "random": rand}[kind]
+        new, old = Oracle(inst, capture_trace=True), Oracle(inst, capture_trace=True)
+        assert exact_threshold_pred(new, 1, k, kp, hint) == alpha
+        assert reference_geometry.exact_threshold_pred(old, 1, k, kp, hint) == alpha
+        assert threshold_trace(new) == threshold_trace(old)
 
 
 @pytest.mark.parametrize("solve", [solve_baseline, solve_deterministic])
@@ -298,6 +353,15 @@ class TestLearnHyperplane:
             plain = learn_hyperplane(Oracle(inst), 1)
             warm = sample_lotteries(m, count=5, seed=trial)[-1]
             assert learn_hyperplane(Oracle(inst), 1, warm=warm) == plain
+
+    @pytest.mark.parametrize("m, hint_m", [(2, 3), (3, 2)])
+    def test_warm_lottery_of_another_dimension_is_refused(self, m, hint_m):
+        inst = Instance(m, F(1, 10), [AgentSpec(["1"] + ["0"] * (m - 1), "0.6")])
+        o = Oracle(inst)
+        warm = Lottery([F(1, hint_m)] * hint_m)
+        with pytest.raises(ValueError, match=f"instance has {m}, warm lottery {hint_m}"):
+            learn_hyperplane(o, 1, warm=warm)
+        assert o.ledger.total == 0
 
     def test_zero_projection_error_query_bound(self):
         # The uniform lottery projects to 1/2 on every edge; this agent's
