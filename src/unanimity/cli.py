@@ -7,7 +7,8 @@ Subcommands (run as ``python -m unanimity ...``):
   family prescribes one).
 * ``solve``  -- run a solver on an instance file and emit a JSON report.
   Exit code 0 means a unanimously acceptable lottery was found, 3 means a
-  certified Null.
+  certified Null.  An ``--out`` or ``--trace`` that names the same file as
+  another file of the command is refused before anything is written.
 * ``verify`` -- re-check a report against its instance without the oracle:
   every agent's membership test for an Accepted lottery, the agent's row
   for a ``reject_all`` witness, and ``feasible_full`` -- the solvers' own
@@ -24,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from functools import cache
@@ -191,7 +193,32 @@ def _dumps_indented(obj, indent: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
+def _refuse_shared_files(args) -> None:
+    """Refuse a solve whose ``--out`` or ``--trace`` names the same file as
+    another of its files, before anything is read or written.
+
+    Existing paths are compared by device and inode, as
+    ``os.path.samefile`` does; a path that does not exist yet, by its
+    normalized absolute form.
+    """
+    seen = {}
+    for what, path in (("the instance", args.instance), ("--advice-perm", args.advice_perm),
+                       ("--advice-lottery", args.advice_lottery), ("--out", args.out),
+                       ("--trace", args.trace)):
+        if not path:
+            continue
+        try:
+            st = os.stat(path)
+            key = (st.st_dev, st.st_ino)
+        except OSError:
+            key = os.path.abspath(path)
+        if key in seen and what in ("--out", "--trace"):
+            raise ValueError(f"{seen[key]} and {what} name the same file {path}")
+        seen.setdefault(key, what)
+
+
 def _cmd_solve(args) -> int:
+    _refuse_shared_files(args)
     inst = read_instance(args.instance)
     advice = _load_advice(args.advice_perm, args.advice_lottery)
     report = _run_solver(inst, args.solver, advice, args.seed,

@@ -6,10 +6,12 @@ answer flips exactly once, at a turning point whose reduced denominator is
 bounded by 1/epsilon.  Bisection brackets the turning point inside an
 interval eps^2/2 wide, too narrow to contain two such rationals; the
 bracket's width alone fixes how many halvings that takes, so it is counted
-once in integers, exactly ``bisection_budget(1/eps)`` from [0, 1].  Rational
-reconstruction then recovers the turning point exactly with zero further
-queries: the continued-fraction best approximation of the bracket's
-midpoint (``Fraction.limit_denominator``), O(log 1/epsilon) steps.
+once in integers, exactly ``bisection_budget(1/eps)`` from [0, 1].  The
+bracket itself is int numerators over one denominator, so a halving is int
+arithmetic plus the query lottery.  Rational reconstruction then recovers
+the turning point exactly with zero further queries: the continued-fraction
+best approximation of the bracket's midpoint (what
+``Fraction.limit_denominator`` returns), O(log 1/epsilon) int steps.
 
 ``learn_hyperplane`` stitches m - 1 turning points into an integer row
 (a, b) with acceptance test <a, x> >= b, the form the LP layer pivots on.
@@ -38,22 +40,32 @@ def bisection_budget(inv_epsilon: int) -> int:
     return (2 * inv_epsilon * inv_epsilon - 1).bit_length()
 
 
-def rational_reconstruct(lower: Fraction, upper: Fraction, Q: int) -> Fraction:
-    """Recover the unique rational in [lower, upper] with denominator <= Q.
+def rational_reconstruct(lo: int, hi: int, D: int, Q: int) -> Fraction:
+    """Recover the unique rational in [lo/D, hi/D] with denominator <= Q.
 
-    The caller guarantees the bracket is at most 1/(2 Q^2) wide.  Two such
-    rationals are at least 1/Q^2 apart, so the one inside the bracket, if
-    any, is the closest to its midpoint: the midpoint's continued-fraction
-    best approximation with denominator <= Q.
+    The caller guarantees D > 0 and a bracket at most 1/(2 Q^2) wide.  Two
+    such rationals are at least 1/Q^2 apart, so at most one lies inside.
+    If p/q does, it is within 1/(4 Q^2) < 1/(2 q^2) of the midpoint
+    (lo + hi)/2D, so by Legendre's theorem it is a convergent of the
+    midpoint's continued fraction, and the last convergent with denominator
+    <= Q, which is no farther from the midpoint, is p/q itself: the value
+    ``Fraction.limit_denominator(Q)`` returns.  The walk runs in ints and
+    the result is checked by cross-multiplication.
     """
-    lower, upper = Fraction(lower), Fraction(upper)
-    cand = ((lower + upper) / 2).limit_denominator(Q)
-    if not lower <= cand <= upper:
+    n, d = lo + hi, 2 * D  # the midpoint, not reduced: the walk is scale-free
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d:
+        a = n // d
+        if q0 + a * q1 > Q:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    if not lo * q1 <= p1 * D <= hi * q1:
         raise ArithmeticError(
-            f"no rational with denominator <= {Q} in [{lower}, {upper}]; "
-            "bracket precondition violated"
+            f"no rational with denominator <= {Q} in "
+            f"[{Fraction(lo, D)}, {Fraction(hi, D)}]; bracket precondition violated"
         )
-    return cand
+    return Fraction(p1, q1)
 
 
 def _edge_query(o: Oracle, i: int, k: int, kprime: int, alpha: Fraction) -> bool:
@@ -66,24 +78,31 @@ def _finish_bracket(
 ) -> Fraction:
     """Bisect an answer-bracketing interval down to the uniqueness width.
 
-    The width w = upper - lower fixes the number of halvings: the least
-    s >= 0 with w / 2^s <= eps^2/2, that is w * 2Q^2 <= 2^s with Q = 1/eps,
-    the bit length of ceil(2Q^2 w) - 1.  Exactly ``bisection_budget(Q)``
-    queries for [0, 1], none for a bracket already eps^2/2 wide.
+    The bracket is kept as int numerators lo < hi over one denominator D,
+    first the lcm of the endpoints' denominators: each halving doubles D,
+    asks at the midpoint lo + hi over the doubled D, and keeps it as one
+    end while doubling the other.  The width w = (hi - lo)/D fixes the
+    number of halvings: the least s >= 0 with w / 2^s <= eps^2/2, that is
+    w * 2Q^2 <= 2^s with Q = 1/eps, the bit length of ceil(2Q^2 w) - 1.
+    Exactly ``bisection_budget(Q)`` queries for [0, 1], none for a
+    bracket already eps^2/2 wide.
     """
     Q = o.inv_epsilon
-    width = upper - lower
+    D = math.lcm(lower.denominator, upper.denominator)
+    lo = lower.numerator * (D // lower.denominator)
+    hi = upper.numerator * (D // upper.denominator)
     # ceil as -(-a // b); at least 1, so an empty bracket is never halved.
-    steps = (max(-(-2 * Q * Q * width.numerator // width.denominator), 1) - 1).bit_length()
+    steps = (max(-(-2 * Q * Q * (hi - lo) // D), 1) - 1).bit_length()
     m, query, cat = o.m, o.query, QueryCategory.THRESHOLD_SEARCH
     for _ in range(steps):
-        mid = (lower + upper) / 2
-        if query(i, edge_lottery(k, kprime, mid, m), cat):
-            upper = mid
+        mid = lo + hi
+        D += D
+        if query(i, edge_lottery(k, kprime, Fraction(mid, D), m), cat):
+            lo, hi = lo + lo, mid
         else:
-            lower = mid
-    alpha = rational_reconstruct(lower, upper, Q)
-    if not ZERO < alpha <= ONE:
+            lo, hi = mid, hi + hi
+    alpha = rational_reconstruct(lo, hi, D, Q)
+    if not 0 < alpha.numerator <= alpha.denominator:
         raise ArithmeticError("turning-point bracket broke; endpoint contract violated")
     return alpha
 

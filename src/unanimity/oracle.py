@@ -13,7 +13,7 @@ import csv
 import enum
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import mul
+from operator import add, mul
 from typing import IO, Iterable, Optional
 
 from unanimity.core import Instance, Lottery, format_rational
@@ -41,22 +41,37 @@ class QueryLedger:
     """Running counters for oracle calls, with an optional bounded trace.
 
     :meth:`Oracle.query` is the only writer: it counts every query here.
-    ``agent_counts[i]`` is agent i's count (slot 0 is unused), so a query
-    costs one list increment and one ``per_category`` update; the total is
-    derived from ``per_category``, which keeps the order in which
-    categories were first asked.
+    ``counts`` holds, per category asked, one list of n + 1 query counts,
+    indexed by agent (slot 0 is unused).  A category's list is created on
+    its first query, so the dict keeps the order in which categories were
+    first asked, and a query costs one dict lookup and one list increment.
+    ``agent_counts``, ``per_category`` and ``total`` are read-only views
+    derived from it.
 
     The trace keeps the first ``TRACE_CAP`` queries; ``trace_dropped``
     counts the queries past the cap that it did not keep.
     """
 
-    agent_counts: list[int] = field(default_factory=lambda: [0])
-    per_category: dict[QueryCategory, int] = field(default_factory=dict)
+    n: int
+    counts: dict[QueryCategory, list[int]] = field(default_factory=dict)
     trace: Optional[list[tuple[int, QueryCategory, Lottery, bool]]] = None
 
     @property
+    def agent_counts(self) -> list[int]:
+        """``agent_counts[i]`` is agent i's count over all categories."""
+        total = [0] * (self.n + 1)
+        for per_agent in self.counts.values():
+            total = list(map(add, total, per_agent))
+        return total
+
+    @property
+    def per_category(self) -> dict[QueryCategory, int]:
+        """Count per category asked, in first-asked order."""
+        return {cat: sum(per_agent) for cat, per_agent in self.counts.items()}
+
+    @property
     def total(self) -> int:
-        return sum(self.per_category.values())
+        return sum(map(sum, self.counts.values()))
 
     @property
     def trace_dropped(self) -> int:
@@ -77,17 +92,17 @@ class Oracle:
     """Counting accept/reject oracle over a hidden instance.
 
     One oracle is owned by exactly one solver run, whose report keeps the
-    oracle's ledger itself.  The hidden instance is
-    deliberately not part of the solver-facing API; solvers receive only
-    ``n``, ``m``, the grid ``inv_epsilon`` (1/epsilon, an int), and yes/no
-    answers.
+    oracle's ledger itself.  Every query is one call of :meth:`query`,
+    which counts it in the ledger's per-category list for the agent.  The
+    hidden instance is deliberately not part of the solver-facing API;
+    solvers receive only ``n``, ``m``, the grid ``inv_epsilon``
+    (1/epsilon, an int), and yes/no answers.
     """
 
     def __init__(self, hidden: Instance, *, capture_trace: bool = False) -> None:
         self._hidden = hidden
         self._rows = hidden.grid_rows
-        self.ledger = QueryLedger([0] * (hidden.n + 1),
-                                  trace=[] if capture_trace else None)
+        self.ledger = QueryLedger(hidden.n, trace=[] if capture_trace else None)
 
     @property
     def n(self) -> int:
@@ -107,7 +122,7 @@ class Oracle:
         With (U, T) the agent's grid row and x = P/D, the agent accepts iff
         sum_j U_j P_j >= T D, decided exactly over Python ints.
         Raises IndexError for an agent outside 1..n and ValueError for a
-        lottery of the wrong dimension.
+        lottery of the wrong dimension, before anything is counted.
         """
         rows = self._rows
         if not 1 <= i <= len(rows):
@@ -119,9 +134,11 @@ class Oracle:
         answer = sum(map(mul, U, P)) >= T * D
         # The ledger update, inline: this is the hot path of every scan.
         ledger = self.ledger
-        ledger.agent_counts[i] += 1
-        per_category = ledger.per_category
-        per_category[cat] = per_category.get(cat, 0) + 1
+        try:
+            ledger.counts[cat][i] += 1
+        except KeyError:  # the category's first query
+            ledger.counts[cat] = per_agent = [0] * (len(rows) + 1)
+            per_agent[i] = 1
         trace = ledger.trace
         if trace is not None and len(trace) < TRACE_CAP:
             trace.append((i, cat, x, answer))

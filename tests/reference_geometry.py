@@ -1,5 +1,6 @@
-"""Test-only reference for the turning-point search: the bisection loop as it
-was before the number of halvings was counted from the bracket's width.
+"""Test-only reference for the turning-point search: the bisection loop over
+Fraction endpoints, as it was before the number of halvings was counted from
+the bracket's width, and the Fraction rational reconstruction.
 
 ``finish_bracket`` halves while ``upper - lower > gap``, testing a Fraction
 width at every step, and the warm walk computes each candidate twice, once
@@ -7,17 +8,30 @@ to test it and once to keep it.  Only the grid is read from the oracle as
 the int ``inv_epsilon`` instead of the Fraction ``epsilon``.  The queries
 these functions ask, in order, and the turning points they return are what
 ``unanimity.geometry.exact_threshold`` and ``exact_threshold_pred`` must
-reproduce.
+reproduce.  ``rational_reconstruct`` takes the Fraction midpoint's
+``limit_denominator``; ``unanimity.geometry.rational_reconstruct`` must
+return the same value, or raise the same ``ArithmeticError``, from the
+bracket's int numerators.
 """
 
 from fractions import Fraction
 
 from unanimity.core import _as_fraction, edge_lottery
-from unanimity.geometry import rational_reconstruct
 from unanimity.oracle import QueryCategory
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def rational_reconstruct(lower, upper, Q):
+    lower, upper = Fraction(lower), Fraction(upper)
+    cand = ((lower + upper) / 2).limit_denominator(Q)
+    if not lower <= cand <= upper:
+        raise ArithmeticError(
+            f"no rational with denominator <= {Q} in [{lower}, {upper}]; "
+            "bracket precondition violated"
+        )
+    return cand
 
 
 def _edge_query(o, i, k, kprime, alpha):

@@ -5,8 +5,9 @@ writer.
 ``expected_utility`` is the oracle's stated reference: agent i accepts x
 iff ``expected_utility(inst.agents[i - 1], x) >= inst.agents[i - 1].threshold``,
 which ``Oracle.query`` decides over integers instead.  ``check_ledger``
-asserts the invariant every ``QueryLedger`` keeps, and ``per_agent`` reads
-its per-agent counts as a map.
+asserts the invariant every ``QueryLedger`` keeps, ``per_agent`` reads
+its per-agent counts as a map, and ``ReferenceLedger`` counts queries as a
+plain map per (category, agent) for the ledger's derived views to match.
 
 These are the generator families, ``quantize``, ``read_instance`` and
 ``write_instance`` as they were before instances were built and stored as
@@ -27,6 +28,7 @@ import warnings
 from fractions import Fraction
 from typing import Sequence
 
+from unanimity import oracle
 from unanimity.core import (
     AgentSpec,
     Instance,
@@ -60,6 +62,43 @@ def per_agent(ledger) -> dict[int, int]:
     """Query counts of the agents asked, in ascending agent order, as the
     report's ``"per_agent"`` map holds them with string keys."""
     return {i: c for i, c in enumerate(ledger.agent_counts) if c}
+
+
+class ReferenceLedger:
+    """The query ledger as one count per (category, agent) and a list of the
+    categories in first-asked order; ``record`` takes a query that passed
+    the oracle's checks, and the trace keeps the first ``oracle.TRACE_CAP``."""
+
+    def __init__(self, n: int, capture_trace: bool) -> None:
+        self.n = n
+        self.counts: dict = {}
+        self.categories: list = []
+        self.trace = [] if capture_trace else None
+
+    def record(self, i: int, cat, x: Lottery, answer: bool) -> None:
+        if cat not in self.categories:
+            self.categories.append(cat)
+        self.counts[cat, i] = self.counts.get((cat, i), 0) + 1
+        if self.trace is not None and len(self.trace) < oracle.TRACE_CAP:
+            self.trace.append((i, cat, x, answer))
+
+    @property
+    def agent_counts(self) -> list[int]:
+        return [sum(c for (_, j), c in self.counts.items() if j == i)
+                for i in range(self.n + 1)]
+
+    @property
+    def per_category(self) -> dict:
+        return {cat: sum(c for (k, _), c in self.counts.items() if k == cat)
+                for cat in self.categories}
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    @property
+    def trace_dropped(self) -> int:
+        return 0 if self.trace is None else self.total - len(self.trace)
 
 
 def _require(params: dict, *names: str) -> list:

@@ -219,6 +219,64 @@ class TestSolve:
         assert "inv_epsilon" in err and "Traceback" not in err
 
 
+class TestSharedFiles:
+    """``solve`` refuses, before anything is written, when ``--out`` or
+    ``--trace`` names the same file as another file of the command."""
+
+    PAIRS = [("--out", "--trace"), ("instance", "--out"), ("instance", "--trace"),
+             ("--advice-perm", "--out"), ("--advice-perm", "--trace"),
+             ("--advice-lottery", "--out"), ("--advice-lottery", "--trace")]
+
+    @staticmethod
+    def argv(files):
+        argv = ["solve", files.pop("instance")]
+        for flag, path in files.items():
+            argv += [flag, path]
+        return argv
+
+    @staticmethod
+    def snapshot(tmp_path):
+        return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+    @pytest.mark.parametrize("first, second", PAIRS)
+    def test_each_pair_exits_usage_and_writes_nothing(self, ex23, tmp_path, capsys,
+                                                      first, second):
+        files = {"instance": ex23, "--advice-perm": tmp_path / "perm.json",
+                 "--advice-lottery": tmp_path / "hint.json"}
+        files["--advice-perm"].write_text("[3, 1, 2]")
+        files["--advice-lottery"].write_text('["1/4", "3/5", "3/20"]')
+        # An existing input file, or for --out and --trace one not yet made.
+        shared = files.get(first, tmp_path / "shared")
+        (tmp_path / "sub").mkdir()
+        files = {flag: files[flag] for flag in ("instance", first) if flag in files}
+        files[first] = shared
+        files[second] = tmp_path / "sub" / ".." / shared.name  # another spelling
+        before = self.snapshot(tmp_path)
+        assert run(self.argv(files)) == 64
+        assert self.snapshot(tmp_path) == before
+        name = "the instance" if first == "instance" else first
+        err = capsys.readouterr().err
+        assert f"{name} and {second} name the same file" in err
+
+    def test_existing_report_named_twice_is_kept(self, ex23, tmp_path):
+        report = tmp_path / "r.json"
+        report.write_text("earlier report\n")
+        assert run(["solve", ex23, "--out", report, "--trace", report]) == 64
+        assert report.read_text() == "earlier report\n"
+
+    def test_symlink_to_the_instance_is_refused(self, ex23, tmp_path):
+        link = tmp_path / "link.json"
+        link.symlink_to(ex23)
+        before = ex23.read_bytes()
+        assert run(["solve", ex23, "--out", link]) == 64
+        assert ex23.read_bytes() == before
+
+    def test_distinct_files_still_solve(self, ex23, tmp_path):
+        assert run(["solve", ex23, "--out", tmp_path / "r.json",
+                    "--trace", tmp_path / "t.csv"]) == 0
+        assert run(["verify", tmp_path / "r.json", ex23]) == 0
+
+
 class TestVerify:
     def test_round_trip_passes(self, ex23, tmp_path, capsys):
         rep = tmp_path / "rep.json"

@@ -73,13 +73,50 @@ def scan_reconstruct(lower: F, upper: F, Q: int) -> F:
     raise ArithmeticError(f"no rational with denominator <= {Q} in [{lower}, {upper}]")
 
 
+def reconstruct(lower: F, upper: F, Q: int) -> F:
+    """``rational_reconstruct`` on a bracket given by its Fraction endpoints."""
+    D = math.lcm(lower.denominator, upper.denominator)
+    lo = lower.numerator * (D // lower.denominator)
+    hi = upper.numerator * (D // upper.denominator)
+    return rational_reconstruct(lo, hi, D, Q)
+
+
+@st.composite
+def int_brackets(draw):
+    """(lo, hi, D, Q, expected): a bracket [lo/D, hi/D] at most 1/(2 Q^2)
+    wide.
+
+    ``expected`` is the p/q (q <= Q) inside it, maybe at an endpoint;
+    ArithmeticError when the bracket starts one 1/D step past p/q on either
+    side, where it holds no rational with denominator <= Q; None when it
+    lies anywhere.
+    """
+    Q = draw(st.integers(2, 5000) | st.just(10**9))
+    kind = draw(st.sampled_from(["holds", "past", "anywhere"]))
+    if kind == "anywhere":
+        D = draw(st.integers(1, 2**80))
+        lo = draw(st.integers(-D, 2 * D))
+        return lo, lo + draw(st.integers(0, D // (2 * Q * Q))), D, Q, None
+    q = draw(st.integers(1, Q))
+    p = draw(st.integers(0, q))
+    D = 2 * Q * Q * q * draw(st.integers(1, 2**20))
+    width = draw(st.integers(0, D // (2 * Q * Q)))
+    at = p * (D // q)
+    if kind == "holds":
+        lo = at - draw(st.integers(0, width) | st.sampled_from([0, width]))
+        return lo, lo + width, D, Q, F(p, q)
+    if draw(st.booleans()):
+        return at + 1, at + 1 + width, D, Q, ArithmeticError
+    return at - 1 - width, at - 1, D, Q, ArithmeticError
+
+
 class TestRationalReconstruct:
     def test_small_bracket_around_three_fifths(self):
-        assert rational_reconstruct(F(598, 1000), F(602, 1000), 10) == F(3, 5)
+        assert rational_reconstruct(598, 602, 1000, 10) == F(3, 5)
 
     def test_target_at_right_endpoint(self):
         x = F(1, 2)
-        assert rational_reconstruct(x - F(1, 400), x, 10) == x
+        assert reconstruct(x - F(1, 400), x, 10) == x
 
     def test_against_brute_force_scan(self):
         # The bracket must be narrower than eps^2/2 = 1/1800 for Q=30: a
@@ -93,11 +130,11 @@ class TestRationalReconstruct:
             if lower <= F(p, q) <= upper
         })
         assert candidates == [F(7, 30)]
-        assert rational_reconstruct(lower, upper, Q) == F(7, 30)
+        assert reconstruct(lower, upper, Q) == F(7, 30)
 
     def test_empty_bracket_is_a_contract_violation(self):
         with pytest.raises(ArithmeticError):
-            rational_reconstruct(F(101, 1000), F(102, 1000), 5)
+            rational_reconstruct(101, 102, 1000, 5)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -118,9 +155,28 @@ class TestRationalReconstruct:
             expected = scan_reconstruct(lower, upper, Q)
         except ArithmeticError:
             with pytest.raises(ArithmeticError):
-                rational_reconstruct(lower, upper, Q)
+                reconstruct(lower, upper, Q)
         else:
-            assert rational_reconstruct(lower, upper, Q) == expected
+            assert reconstruct(lower, upper, Q) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(bracket=int_brackets())
+    def test_matches_fraction_limit_denominator(self, bracket):
+        # The int continued-fraction walk against the Fraction midpoint's
+        # limit_denominator: the same value, or the same ArithmeticError.
+        def outcome(reconstruct_, *args):
+            try:
+                return reconstruct_(*args)
+            except ArithmeticError as exc:
+                return "ArithmeticError", str(exc)
+
+        lo, hi, D, Q, expected = bracket
+        new = outcome(rational_reconstruct, lo, hi, D, Q)
+        assert new == outcome(reference_geometry.rational_reconstruct, F(lo, D), F(hi, D), Q)
+        if expected is ArithmeticError:
+            assert isinstance(new, tuple)
+        elif expected is not None:
+            assert new == expected
 
 
 class TestExactThreshold:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
-from reference_instances import check_ledger, expected_utility, per_agent
+from reference_instances import ReferenceLedger, check_ledger, expected_utility, per_agent
 
 from unanimity import oracle
 from unanimity import (
@@ -207,6 +207,62 @@ class TestRejecters:
             o.rejecters(Lottery(["0.25", "0.60", "0.15"]), [1, 3, 4, 2], VER, first=first)
         assert o.ledger.agent_counts == [0, 1, 0, 1]
         assert o.ledger.per_category == {VER: 2}
+
+
+@st.composite
+def query_streams(draw):
+    """A small instance and a stream of queries: (agent, category, lottery),
+    now and then with an agent out of range or a lottery of another
+    dimension."""
+    m, Q, n = draw(st.integers(1, 3)), draw(st.integers(2, 6)), draw(st.integers(0, 5))
+    grid = st.integers(0, Q)
+    inst = Instance(m, F(1, Q), [
+        AgentSpec([F(draw(grid), Q) for _ in range(m)], F(draw(st.integers(1, Q)), Q))
+        for _ in range(n)])
+
+    def lotteries(k):
+        parts = st.lists(st.integers(0, 4), min_size=k, max_size=k).filter(any)
+        return parts.map(lambda ps: Lottery([F(p, sum(ps)) for p in ps]))
+
+    agent = st.integers(1, n) if n else st.nothing()
+    query = st.tuples(agent, st.sampled_from(QueryCategory), lotteries(m))
+    bad_agent = st.tuples(st.sampled_from([-1, 0, n + 1, n + 2]),
+                          st.sampled_from(QueryCategory), lotteries(m))
+    dims = [k for k in (m - 1, m + 1) if k >= 1]
+    bad_dim = st.tuples(agent, st.sampled_from(QueryCategory),
+                        st.sampled_from(dims).flatmap(lotteries))
+    return inst, draw(st.lists(query | bad_agent | bad_dim, max_size=30))
+
+
+class TestLedgerViews:
+    """The ledger's derived views match a plain count per (category, agent)
+    after every query, and a refused query counts nothing."""
+
+    @given(query_streams(), st.sampled_from([1, 3, oracle.TRACE_CAP]),
+           st.booleans())
+    def test_views_match_a_reference_ledger(self, stream, cap, capture):
+        inst, queries = stream
+        with mock.patch.object(oracle, "TRACE_CAP", cap):
+            o = Oracle(inst, capture_trace=capture)
+            ref = ReferenceLedger(inst.n, capture)
+            for i, cat, x in queries:
+                if not 1 <= i <= inst.n:
+                    with pytest.raises(IndexError):
+                        o.query(i, x, cat)
+                elif x.m != inst.m:
+                    with pytest.raises(ValueError):
+                        o.query(i, x, cat)
+                else:
+                    agent = inst.agents[i - 1]
+                    answer = expected_utility(agent, x) >= agent.threshold
+                    assert o.query(i, x, cat) is answer
+                    ref.record(i, cat, x, answer)
+                ledger = o.ledger
+                assert ledger.agent_counts == ref.agent_counts
+                assert list(ledger.per_category.items()) == list(ref.per_category.items())
+                assert ledger.total == ref.total
+                assert ledger.trace == ref.trace
+                assert ledger.trace_dropped == ref.trace_dropped
 
 
 class TestSingleEntryPoint:
