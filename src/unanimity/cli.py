@@ -15,7 +15,8 @@ Subcommands (run as ``python -m unanimity ...``):
   LP (``select``) -- for a Helly witness; ROADMAP item 4 (Farkas
   certificates) would remove that dependency on the solver.
 * ``bench``  -- sweep (instance, solver, seed) combinations and append
-  rows to a CSV table.
+  rows to a CSV table.  An ``--out`` that names one of its input files is
+  refused before any solver runs.
 
 Usage and I/O errors exit with code >= 64.
 """
@@ -193,18 +194,16 @@ def _dumps_indented(obj, indent: str = "\n") -> str:
     return "[" + inner + ("," + inner).join(items) + indent + "]"
 
 
-def _refuse_shared_files(args) -> None:
-    """Refuse a solve whose ``--out`` or ``--trace`` names the same file as
-    another of its files, before anything is read or written.
+def _refuse_shared_files(files) -> None:
+    """Refuse a command whose ``--out`` or ``--trace`` names the same file
+    as another of its files, before anything is read or written.
 
-    Existing paths are compared by device and inode, as
-    ``os.path.samefile`` does; a path that does not exist yet, by its
-    normalized absolute form.
+    ``files`` lists (label, path) pairs; a None path is skipped.  Existing
+    paths are compared by device and inode, as ``os.path.samefile`` does;
+    a path that does not exist yet, by its normalized absolute form.
     """
     seen = {}
-    for what, path in (("the instance", args.instance), ("--advice-perm", args.advice_perm),
-                       ("--advice-lottery", args.advice_lottery), ("--out", args.out),
-                       ("--trace", args.trace)):
+    for what, path in files:
         if not path:
             continue
         try:
@@ -218,7 +217,9 @@ def _refuse_shared_files(args) -> None:
 
 
 def _cmd_solve(args) -> int:
-    _refuse_shared_files(args)
+    _refuse_shared_files([("the instance", args.instance), ("--advice-perm", args.advice_perm),
+                          ("--advice-lottery", args.advice_lottery), ("--out", args.out),
+                          ("--trace", args.trace)])
     inst = read_instance(args.instance)
     advice = _load_advice(args.advice_perm, args.advice_lottery)
     report = _run_solver(inst, args.solver, advice, args.seed,
@@ -335,6 +336,9 @@ def _bench_row(path: str, inst: Instance, solver: str, advice: Advice,
 def _cmd_bench(args) -> int:
     if args.seeds < 1:
         raise ValueError(f"--seeds must be >= 1 (got {args.seeds})")
+    _refuse_shared_files([("the instance", path) for path in args.instances]
+                         + [("--advice-perm", args.advice_perm),
+                            ("--advice-lottery", args.advice_lottery), ("--out", args.out)])
     solvers = args.solver or list(SOLVERS)
     advice = _load_advice(args.advice_perm, args.advice_lottery)
     rows = []

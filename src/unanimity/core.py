@@ -60,9 +60,12 @@ def format_rational(value: Fraction) -> str:
 
 def _as_fraction(value) -> Fraction:
     """``value`` as a Fraction; a string goes through ``parse_rational``, so
-    its exponent is bounded there."""
+    its exponent is bounded there.  A float or a bool is a ValueError: the
+    float 0.1 is not the rational it reads as, and True is no number."""
     if type(value) is Fraction:
         return value
+    if isinstance(value, (float, bool)):
+        raise ValueError(f"not an exact rational: {value!r}")
     return parse_rational(value) if isinstance(value, str) else Fraction(value)
 
 

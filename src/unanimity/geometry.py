@@ -3,15 +3,18 @@
 An agent's acceptable set is a halfspace intersected with the simplex.  On
 any edge from a rejected vertex e_k to an accepted vertex e_k' the agent's
 answer flips exactly once, at a turning point whose reduced denominator is
-bounded by 1/epsilon.  Bisection brackets the turning point inside an
-interval eps^2/2 wide, too narrow to contain two such rationals; the
-bracket's width alone fixes how many halvings that takes, so it is counted
-once in integers, exactly ``bisection_budget(1/eps)`` from [0, 1].  The
-bracket itself is int numerators over one denominator, so a halving is int
-arithmetic plus the query lottery.  Rational reconstruction then recovers
-the turning point exactly with zero further queries: the continued-fraction
-best approximation of the bracket's midpoint (what
-``Fraction.limit_denominator`` returns), O(log 1/epsilon) int steps.
+bounded by 1/epsilon.  Each search keeps one bracket on it from its first
+query to its last: int numerators lo < hi over one int denominator D.  The
+cold search starts from (0, 1, 1); the warm walk from a predicted point
+runs over D = lcm(its denominator, 2Q^2), Q = 1/eps, so its first step,
+eps^2/2, and every doubling of it are ints too.  Bisection then halves the
+bracket until it is eps^2/2 wide, too narrow to contain two such rationals;
+the width alone fixes how many halvings that takes, counted once in
+integers, exactly ``bisection_budget(1/eps)`` from [0, 1].  Rational
+reconstruction then recovers the turning point exactly with zero further
+queries: the continued-fraction best approximation of the bracket's
+midpoint (what ``Fraction.limit_denominator`` returns), O(log 1/eps) int
+steps.
 
 ``learn_hyperplane`` stitches m - 1 turning points into an integer row
 (a, b) with acceptance test <a, x> >= b, the form the LP layer pivots on.
@@ -29,9 +32,6 @@ from typing import Optional
 
 from unanimity.core import Lottery, _as_fraction, edge_lottery, pairwise_projection
 from unanimity.oracle import Oracle, QueryCategory
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def bisection_budget(inv_epsilon: int) -> int:
@@ -68,29 +68,20 @@ def rational_reconstruct(lo: int, hi: int, D: int, Q: int) -> Fraction:
     return Fraction(p1, q1)
 
 
-def _edge_query(o: Oracle, i: int, k: int, kprime: int, alpha: Fraction) -> bool:
-    x = edge_lottery(k, kprime, alpha, o.m)
-    return o.query(i, x, QueryCategory.THRESHOLD_SEARCH)
-
-
 def _finish_bracket(
-    o: Oracle, i: int, k: int, kprime: int, lower: Fraction, upper: Fraction
+    o: Oracle, i: int, k: int, kprime: int, lo: int, hi: int, D: int
 ) -> Fraction:
-    """Bisect an answer-bracketing interval down to the uniqueness width.
+    """Bisect the answer-bracketing interval [lo/D, hi/D] down to the
+    uniqueness width.
 
-    The bracket is kept as int numerators lo < hi over one denominator D,
-    first the lcm of the endpoints' denominators: each halving doubles D,
-    asks at the midpoint lo + hi over the doubled D, and keeps it as one
-    end while doubling the other.  The width w = (hi - lo)/D fixes the
-    number of halvings: the least s >= 0 with w / 2^s <= eps^2/2, that is
-    w * 2Q^2 <= 2^s with Q = 1/eps, the bit length of ceil(2Q^2 w) - 1.
-    Exactly ``bisection_budget(Q)`` queries for [0, 1], none for a
-    bracket already eps^2/2 wide.
+    Each halving doubles D, asks at the midpoint lo + hi over the doubled
+    D, and keeps it as one end while doubling the other.  The width
+    w = (hi - lo)/D fixes the number of halvings: the least s >= 0 with
+    w / 2^s <= eps^2/2, that is w * 2Q^2 <= 2^s with Q = 1/eps, the bit
+    length of ceil(2Q^2 w) - 1.  Exactly ``bisection_budget(Q)`` queries
+    for [0, 1], none for a bracket already eps^2/2 wide.
     """
     Q = o.inv_epsilon
-    D = math.lcm(lower.denominator, upper.denominator)
-    lo = lower.numerator * (D // lower.denominator)
-    hi = upper.numerator * (D // upper.denominator)
     # ceil as -(-a // b); at least 1, so an empty bracket is never halved.
     steps = (max(-(-2 * Q * Q * (hi - lo) // D), 1) - 1).bit_length()
     m, query, cat = o.m, o.query, QueryCategory.THRESHOLD_SEARCH
@@ -115,7 +106,7 @@ def exact_threshold(o: Oracle, i: int, k: int, kprime: int) -> Fraction:
     exactly ``bisection_budget(1/eps)`` ThresholdSearch queries, then
     reconstructs the exact rational with no further queries.
     """
-    return _finish_bracket(o, i, k, kprime, ZERO, ONE)
+    return _finish_bracket(o, i, k, kprime, 0, 1, 1)
 
 
 def exact_threshold_pred(
@@ -128,25 +119,28 @@ def exact_threshold_pred(
     queries before the same counted bisection and reconstruction finish.
     """
     alpha_hat = _as_fraction(alpha_hat)
-    if not (ZERO <= alpha_hat <= ONE):
+    if not 0 <= alpha_hat <= 1:
         raise ValueError("alpha_hat must lie in [0, 1]")
-    Q = o.inv_epsilon
-    step = Fraction(1, 2 * Q * Q)  # eps^2 / 2
-    if _edge_query(o, i, k, kprime, alpha_hat):
+    inv_gap = 2 * o.inv_epsilon * o.inv_epsilon  # 1 / (eps^2 / 2)
+    D = math.lcm(alpha_hat.denominator, inv_gap)
+    step = D // inv_gap
+    m, query, cat = o.m, o.query, QueryCategory.THRESHOLD_SEARCH
+
+    def ask(t: int) -> bool:
+        return query(i, edge_lottery(k, kprime, Fraction(t, D), m), cat)
+
+    lo = hi = alpha_hat.numerator * (D // alpha_hat.denominator)
+    if ask(hi):
         # alpha_hat >= alpha*: walk left until the answer flips or we clip at 0.
-        upper = alpha_hat
-        while (cand := upper - step) > 0 and _edge_query(o, i, k, kprime, cand):
-            upper = cand
-            step *= 2
-        lower = max(ZERO, cand)
+        while (lo := hi - step) > 0 and ask(lo):
+            hi, step = lo, step + step
+        lo = max(lo, 0)
     else:
         # alpha_hat < alpha*: walk right until the answer flips or we clip at 1.
-        lower = alpha_hat
-        while (cand := lower + step) < 1 and not _edge_query(o, i, k, kprime, cand):
-            lower = cand
-            step *= 2
-        upper = min(ONE, cand)
-    return _finish_bracket(o, i, k, kprime, lower, upper)
+        while (hi := lo + step) < D and not ask(hi):
+            lo, step = hi, step + step
+        hi = min(hi, D)
+    return _finish_bracket(o, i, k, kprime, lo, hi, D)
 
 
 def learn_hyperplane(
@@ -192,23 +186,16 @@ def learn_hyperplane(
             return exact_threshold(o, i, k, kprime)
         return exact_threshold_pred(o, i, k, kprime, pairwise_projection(warm, k, kprime))
 
-    r = rejected[0]
-    alpha_r = {j: turning(r, j) for j in accepted}
-
-    coeffs = [ZERO] * m
-    if all(alpha == ONE for alpha in alpha_r.values()):
-        # Boundary passes through every accepted vertex: the acceptable set
-        # is exactly the face spanned by the accepted alternatives.
-        for j in accepted:
-            coeffs[j - 1] = ONE
-    else:
-        a = next(j for j in accepted if alpha_r[j] < ONE)
-        for j in accepted:
-            coeffs[j - 1] = 1 / alpha_r[j]
+    alpha_r = {j: turning(rejected[0], j) for j in accepted}
+    # With every turning point at 1 the acceptable set is the face spanned by
+    # the accepted vertices: 1 / alpha = 1 on each, 0 on every rejected one.
+    coeffs = [0] * m
+    for j in accepted:
+        coeffs[j - 1] = 1 / alpha_r[j]
+    a = next((j for j in accepted if alpha_r[j] < 1), None)
+    if a is not None:
         c_a = coeffs[a - 1]
-        for k in rejected:
-            if k == r:
-                continue
+        for k in rejected[1:]:
             alpha_ka = turning(k, a)
             coeffs[k - 1] = (1 - alpha_ka * c_a) / (1 - alpha_ka)
     L = math.lcm(*(c.denominator for c in coeffs))

@@ -443,6 +443,29 @@ class TestBench:
         assert f"--seeds must be >= 1 (got {seeds})" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("shared", ["instance", "--advice-perm", "--advice-lottery"])
+    def test_out_naming_an_input_exits_usage_before_solving(self, ex23, tmp_path, capsys,
+                                                            monkeypatch, shared):
+        files = {"instance": ex23, "--advice-perm": tmp_path / "perm.json",
+                 "--advice-lottery": tmp_path / "hint.json"}
+        files["--advice-perm"].write_text("[3, 1, 2]")
+        files["--advice-lottery"].write_text('["1/4", "3/5", "3/20"]')
+        before = files[shared].read_bytes()
+        monkeypatch.setattr(cli, "_run_solver", None)  # a solver run would raise
+        argv = ["bench", ex23, "--solver", "baseline", "--out", files[shared]]
+        if shared != "instance":
+            argv += [shared, files[shared]]
+        assert run(argv) == 64
+        name = "the instance" if shared == "instance" else shared
+        assert f"{name} and --out name the same file" in capsys.readouterr().err
+        assert files[shared].read_bytes() == before
+
+    def test_existing_csv_out_still_appends(self, ex23, tmp_path):
+        out = tmp_path / "bench.csv"
+        out.write_text(",".join(cli.BENCH_COLUMNS) + "\n")
+        assert run(["bench", ex23, "--solver", "baseline", "--out", out]) == 0
+        rows = list(csv.DictReader(out.open()))
+        assert len(rows) == 1 and rows[0]["solver"] == "baseline"
 
     def test_format_option_is_gone(self, ex23, tmp_path, capsys):
         out = tmp_path / "bench.csv"

@@ -8,14 +8,18 @@ from reference_instances import expected_utility, per_agent
 
 from unanimity import (
     AgentSpec,
+    GeneratorSpec,
     Instance,
     Lottery,
     Oracle,
     QueryCategory,
     edge_lottery,
+    exact_threshold_pred,
     format_rational,
+    generate,
     pairwise_projection,
     parse_rational,
+    quantize,
 )
 
 
@@ -145,6 +149,33 @@ class TestAgentAndInstance:
         for k, kprime in ((0, 2), (1, 3)):
             with pytest.raises(ValueError):
                 edge_lottery(k, kprime, F(1, 2), 2)
+
+
+def _hint_search(v):
+    o = Oracle(Instance(2, F(1, 10), [AgentSpec([0, 1], F(1, 2))]))
+    return exact_threshold_pred(o, 1, 1, 2, v)
+
+
+# The library entry points that read a rational, each fed v for one of them.
+EXACT_ENTRY_POINTS = {
+    "Lottery": lambda v: Lottery([v, F(1, 2)]),
+    "AgentSpec utility": lambda v: AgentSpec([v, 0], F(1, 2)),
+    "AgentSpec threshold": lambda v: AgentSpec([1, 0], v),
+    "Instance epsilon": lambda v: Instance(2, v, []),
+    "exact_threshold_pred hint": _hint_search,
+    "quantize utility": lambda v: quantize([[v, 0]], [F(1, 2)], F(1, 10)),
+    "quantize threshold": lambda v: quantize([[1, 0]], [v], F(1, 10)),
+    "quantize epsilon": lambda v: quantize([[1, 0]], [F(1, 2)], v),
+    "near-threshold delta": lambda v: generate(GeneratorSpec(
+        "near-threshold", {"inv_epsilon": 10, "delta": v, "t": 0})),
+}
+
+
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", EXACT_ENTRY_POINTS)
+def test_float_and_bool_are_not_exact_rationals(entry, value):
+    with pytest.raises(ValueError, match=f"^not an exact rational: {value!r}$"):
+        EXACT_ENTRY_POINTS[entry](value)
 
 
 class TestExpectedUtility:

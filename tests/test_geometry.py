@@ -5,7 +5,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import reference_geometry
 from reference_instances import expected_utility
 
@@ -291,6 +291,12 @@ def turning_edges(draw):
     return Instance(m, F(1, Q), [agent]), k, kp, F(p, q)
 
 
+def unit_edge(Q, p, q):
+    """The turning_edges case m = 2, k = 1, k' = 2, base 0 and c = 1: the
+    turning point p/q over the grid 1/Q."""
+    return Instance(2, F(1, Q), [AgentSpec([0, F(q, Q)], F(p, Q))]), 1, 2, F(p, q)
+
+
 def threshold_trace(o: Oracle):
     return [(agent, cat, x.probs) for agent, cat, x, _ in o.ledger.trace]
 
@@ -316,6 +322,15 @@ class TestCountedHalvings:
         j=st.integers(-4, 4) | st.integers(-2**40, 2**40),
         rand=st.fractions(0, 1, max_denominator=10**12),
     )
+    # Hint denominators coprime to 2Q^2, walking left and right.
+    @example(edge=unit_edge(10, 1, 5), kind="random", j=0, rand=F(1, 3))
+    @example(edge=unit_edge(10, 3, 7), kind="random", j=0, rand=F(2, 7))
+    # A walk left that clips at 0 (from 29/200 the next step is 32/200),
+    # and one right that clips at 1.
+    @example(edge=unit_edge(10, 1, 10), kind="random", j=0, rand=F(3, 10))
+    @example(edge=unit_edge(10, 1, 1), kind="zero", j=0, rand=F(0))
+    # The hint exactly at the turning point.
+    @example(edge=unit_edge(10, 3, 7), kind="exact", j=0, rand=F(0))
     def test_warm_search_matches_width_test(self, edge, kind, j, rand):
         inst, k, kp, alpha = edge
         Q = inst.inv_epsilon
