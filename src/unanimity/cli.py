@@ -7,8 +7,10 @@ Subcommands (run as ``python -m unanimity ...``):
   family prescribes one).
 * ``solve``  -- run a solver on an instance file and emit a JSON report.
   Exit code 0 means a unanimously acceptable lottery was found, 3 means a
-  certified Null.  An ``--out`` or ``--trace`` that names the same file as
-  another file of the command is refused before anything is written.
+  certified Null.  Advice that does not fit the instance is refused before
+  any query, by every solver, baseline included.  An ``--out`` or
+  ``--trace`` that names the same file as another file of the command is
+  refused before anything is written.
 * ``verify`` -- re-check a report against its instance without the oracle:
   every agent's membership test for an Accepted lottery, the agent's row
   for a ``reject_all`` witness, and ``feasible_full`` -- the solvers' own
@@ -16,7 +18,8 @@ Subcommands (run as ``python -m unanimity ...``):
   certificates) would remove that dependency on the solver.
 * ``bench``  -- sweep (instance, solver, seed) combinations and append
   rows to a CSV table.  An ``--out`` that names one of its input files is
-  refused before any solver runs.
+  refused before any solver runs, and advice that does not fit an instance
+  before any solver runs on it.
 
 Usage and I/O errors exit with code >= 64.
 """
@@ -125,13 +128,8 @@ def _load_json_list(path: str, what: str) -> list:
 
 
 def _load_advice(perm_path, lottery_path) -> Advice:
-    order = None
+    order = _load_json_list(perm_path, "--advice-perm") if perm_path else None
     x_hat = None
-    if perm_path:
-        order = _load_json_list(perm_path, "--advice-perm")
-        # bool is an int subclass; JSON true must not pass for agent 1.
-        if not (all(type(i) is int for i in order) or all(type(i) is str for i in order)):
-            raise ValueError(f"--advice-perm must list agent indices, got {order!r}")
     if lottery_path:
         probs = _load_json_list(lottery_path, "--advice-lottery")
         x_hat = Lottery([parse_rational(t) for t in probs])
@@ -222,6 +220,7 @@ def _cmd_solve(args) -> int:
                           ("--trace", args.trace)])
     inst = read_instance(args.instance)
     advice = _load_advice(args.advice_perm, args.advice_lottery)
+    advice.check(inst.n, inst.m)
     report = _run_solver(inst, args.solver, advice, args.seed,
                          capture_trace=bool(args.trace))
     doc = report.to_json_dict()
@@ -344,6 +343,7 @@ def _cmd_bench(args) -> int:
     rows = []
     for path in args.instances:
         inst = read_instance(path)
+        advice.check(inst.n, inst.m)
         for solver in solvers:
             seeds = range(args.seeds) if solver == "randomized" else [0]
             for seed in seeds:

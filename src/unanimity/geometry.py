@@ -10,7 +10,7 @@ runs over D = lcm(its denominator, 2Q^2), Q = 1/eps, so its first step,
 eps^2/2, and every doubling of it are ints too.  Bisection then halves the
 bracket until it is eps^2/2 wide, too narrow to contain two such rationals;
 the width alone fixes how many halvings that takes, counted once in
-integers, exactly ``bisection_budget(1/eps)`` from [0, 1].  Rational
+integers, exactly ceil(log2(2/eps^2)) from [0, 1].  Rational
 reconstruction then recovers the turning point exactly with zero further
 queries: the continued-fraction best approximation of the bracket's
 midpoint (what ``Fraction.limit_denominator`` returns), O(log 1/eps) int
@@ -32,12 +32,6 @@ from typing import Optional
 
 from unanimity.core import Lottery, _as_fraction, edge_lottery, pairwise_projection
 from unanimity.oracle import Oracle, QueryCategory
-
-
-def bisection_budget(inv_epsilon: int) -> int:
-    """ThresholdSearch queries per cold turning point: ceil(log2(2/eps^2)),
-    in integers: ceil(log2 N) is the bit length of N - 1."""
-    return (2 * inv_epsilon * inv_epsilon - 1).bit_length()
 
 
 def rational_reconstruct(lo: int, hi: int, D: int, Q: int) -> Fraction:
@@ -78,7 +72,7 @@ def _finish_bracket(
     D, and keeps it as one end while doubling the other.  The width
     w = (hi - lo)/D fixes the number of halvings: the least s >= 0 with
     w / 2^s <= eps^2/2, that is w * 2Q^2 <= 2^s with Q = 1/eps, the bit
-    length of ceil(2Q^2 w) - 1.  Exactly ``bisection_budget(Q)`` queries
+    length of ceil(2Q^2 w) - 1.  Exactly ceil(log2(2Q^2)) queries
     for [0, 1], none for a bracket already eps^2/2 wide.
     """
     Q = o.inv_epsilon
@@ -103,7 +97,7 @@ def exact_threshold(o: Oracle, i: int, k: int, kprime: int) -> Fraction:
 
     The caller must already know Query(i, e_k) = False and
     Query(i, e_k') = True; the endpoints are not re-queried.  Issues
-    exactly ``bisection_budget(1/eps)`` ThresholdSearch queries, then
+    exactly ceil(log2(2/eps^2)) ThresholdSearch queries, then
     reconstructs the exact rational with no further queries.
     """
     return _finish_bracket(o, i, k, kprime, 0, 1, 1)

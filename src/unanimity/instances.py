@@ -4,7 +4,7 @@ Each generator family emits an instance together with a ground-truth tag
 (feasible witness lottery or infeasibility marker) computed from the
 construction itself, never by running a solver -- tests compare solver
 output against these tags without crossing the oracle boundary.  The
-near-threshold family additionally emits the lottery hint its analysis
+near-threshold family additionally emits the hinted lottery its analysis
 prescribes.
 
 Also here: quantization of arbitrary rational instances onto the epsilon

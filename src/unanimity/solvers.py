@@ -46,11 +46,20 @@ class Advice:
 
     def __init__(self, order=None, x_hat: Optional[Lottery] = None) -> None:
         if order is not None:
-            order = tuple(int(i) for i in order)
-            if sorted(order) != list(range(1, len(order) + 1)):
+            order = tuple(order)
+            # bool is an int subclass; True must not pass for agent 1.
+            if (not all(type(i) is int for i in order)
+                    or sorted(order) != list(range(1, len(order) + 1))):
                 raise ValueError("order must be a permutation of 1..n")
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "x_hat", x_hat)
+
+    def check(self, n: int, m: int) -> None:
+        """Refuse advice that does not fit n agents over m alternatives."""
+        if self.order is not None and len(self.order) != n:
+            raise ValueError(f"order covers {len(self.order)} agents, instance has {n}")
+        if self.x_hat is not None and self.x_hat.m != m:
+            raise ValueError(f"dimension mismatch: instance has {m}, lottery hint {self.x_hat.m}")
 
     @property
     def kind(self) -> str:
@@ -139,12 +148,11 @@ def _rows(learned: dict[int, Optional[tuple]], restrict=None) -> list:
             if learned[i] is not None and (restrict is None or i in restrict)]
 
 
-def _check_hint(o: Oracle, x_hat: Lottery) -> bool:
-    """Ask every agent about the hint (no short-circuit): exactly n queries.
-    A hint of the wrong dimension is a ValueError, even with no agent to ask."""
-    if x_hat.m != o.m:
-        raise ValueError(f"dimension mismatch: instance has {o.m}, lottery hint {x_hat.m}")
-    return not o.rejecters(x_hat, range(1, o.n + 1), QueryCategory.ADVICE_CHECK)
+def _check_hint(o: Oracle, x_hat: Optional[Lottery]) -> bool:
+    """Ask every agent about the hint (no short-circuit): exactly n queries,
+    none for no hint (None)."""
+    return x_hat is not None and not o.rejecters(
+        x_hat, range(1, o.n + 1), QueryCategory.ADVICE_CHECK)
 
 
 def solve_baseline(o: Oracle) -> SolveReport:
@@ -174,17 +182,14 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
     restarts.  Learned agents satisfy the candidate by construction and
     are never re-queried.
     """
-    n = o.n
-    order = advice.order if advice.order is not None else tuple(range(1, n + 1))
-    if len(order) != n:
-        raise ValueError(f"order covers {len(order)} agents, instance has {n}")
+    advice.check(o.n, o.m)
+    order = advice.order or range(1, o.n + 1)
     warm = advice.x_hat
     learned: dict[int, Optional[tuple]] = {}
     iterations = 0
 
-    if warm is not None:
-        if _check_hint(o, warm):
-            return _report(o, learned, iterations, lottery=warm)
+    if _check_hint(o, warm):
+        return _report(o, learned, iterations, lottery=warm)
 
     while True:
         iterations += 1
@@ -247,24 +252,19 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
     verified up front and warm-starts elicitation.
     """
     n, m = o.n, o.m
+    advice.check(n, m)
     rng = random.Random(seed)
     r = max(1, 16 * (m - 1) ** 2)
-    if advice.order is not None:
-        if len(advice.order) != n:
-            raise ValueError(f"order covers {len(advice.order)} agents, instance has {n}")
-        weights = [0] * n
-        for rank, agent in enumerate(advice.order, start=1):
-            weights[agent - 1] = -(-n // rank)
-    else:
-        weights = [1] * n
+    weights = [1] * n
+    for rank, agent in enumerate(advice.order or (), start=1):
+        weights[agent - 1] = -(-n // rank)
     total = sum(weights)
     warm = advice.x_hat
     learned: dict[int, Optional[tuple]] = {}
     iterations = 0
 
-    if warm is not None:
-        if _check_hint(o, warm):
-            return _report(o, learned, iterations, lottery=warm, seed=seed)
+    if _check_hint(o, warm):
+        return _report(o, learned, iterations, lottery=warm, seed=seed)
 
     while True:
         iterations += 1

@@ -11,7 +11,9 @@ these functions ask, in order, and the turning points they return are what
 reproduce.  ``rational_reconstruct`` takes the Fraction midpoint's
 ``limit_denominator``; ``unanimity.geometry.rational_reconstruct`` must
 return the same value, or raise the same ``ArithmeticError``, from the
-bracket's int numerators.
+bracket's int numerators.  ``bisection_budget`` counts the ThresholdSearch
+queries of a cold turning point, ceil(log2(2/eps^2)) as
+``unanimity.geometry`` states it.
 """
 
 from fractions import Fraction
@@ -21,6 +23,12 @@ from unanimity.oracle import QueryCategory
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def bisection_budget(inv_epsilon):
+    """ThresholdSearch queries per cold turning point: ceil(log2(2/eps^2)),
+    in integers: ceil(log2 N) is the bit length of N - 1."""
+    return (2 * inv_epsilon * inv_epsilon - 1).bit_length()
 
 
 def rational_reconstruct(lower, upper, Q):

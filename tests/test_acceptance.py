@@ -11,6 +11,7 @@ import time
 from fractions import Fraction as F
 
 from scipy.stats import chisquare, hypergeom
+from reference_geometry import bisection_budget
 from reference_instances import expected_utility
 
 from unanimity import (
@@ -31,7 +32,6 @@ from unanimity import (
     weighted_sample,
 )
 from unanimity.cli import _verify_report
-from unanimity.geometry import bisection_budget
 
 
 def report(number, ok, detail):

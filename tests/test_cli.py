@@ -114,14 +114,23 @@ class TestSolve:
         assert doc["queries"]["total"] == 3  # perfect hint: one query per agent
 
     def test_lottery_advice_of_wrong_dimension_exits_usage(self, tmp_path, capsys):
-        # No agent is asked about the hint, so no query can notice the mismatch.
-        inst, hint, rep = tmp_path / "i.json", tmp_path / "hint.json", tmp_path / "r.json"
+        # No agent is asked about the advice, so no query can notice the
+        # mismatch.  Baseline reads no advice, yet refuses advice that does
+        # not fit as the other solvers do.
+        inst, hint, perm = tmp_path / "i.json", tmp_path / "hint.json", tmp_path / "perm.json"
+        rep = tmp_path / "r.json"
         inst.write_text(json.dumps({"m": 3, "inv_epsilon": 10, "agents": []}))
         hint.write_text(json.dumps(["1/2", "1/2"]))
-        assert run(["solve", inst, "--solver", "deterministic", "--advice-lottery", hint,
-                    "--out", rep]) == 64
-        assert "dimension mismatch: instance has 3, lottery hint 2" in capsys.readouterr().err
-        assert not rep.exists()
+        perm.write_text(json.dumps([1, 2]))
+        for flag, path, message in [
+            ("--advice-lottery", hint, "dimension mismatch: instance has 3, lottery hint 2"),
+            ("--advice-perm", perm, "order covers 2 agents, instance has 0"),
+        ]:
+            for solver in cli.SOLVERS:
+                assert run(["solve", inst, "--solver", solver, flag, path,
+                            "--out", rep]) == 64, (flag, solver)
+                assert message in capsys.readouterr().err
+                assert not rep.exists()
 
     @pytest.mark.parametrize("doc, lottery", [
         ({"m": 3, "inv_epsilon": 10, "agents": []}, ["1", "0", "0"]),
@@ -169,15 +178,11 @@ class TestSolve:
     def test_missing_instance_exits_io(self, tmp_path, capsys):
         assert run(["solve", tmp_path / "nope.json"]) == 66
 
-    def test_perm_advice_as_strings(self, ex23, tmp_path, capsys):
-        perm = tmp_path / "perm.json"
-        perm.write_text('["3", "1", "2"]')
-        assert run(["solve", ex23, "--advice-perm", perm]) == 0
-
     @pytest.mark.parametrize("flag,text", [
         ("--advice-perm", "5"),
         ("--advice-perm", "[true, 2, 3]"),
         ("--advice-perm", '[1, "2", 3]'),
+        ("--advice-perm", '["3", "1", "2"]'),
         ("--advice-perm", "[1.0, 2, 3]"),
         ("--advice-perm", '{"1": 1}'),
         ("--advice-lottery", "[0.25, 0.5, 0.25]"),
@@ -298,6 +303,19 @@ class TestVerify:
         run(["solve", ex21, "--out", rep])
         assert run(["verify", rep, ex21]) == 0
 
+    def test_reject_all_round_trip(self, tmp_path, capsys):
+        # Agent 2's best pure lottery is worth 2/10 < tau = 3/10.
+        inst, rep = tmp_path / "inst.json", tmp_path / "rep.json"
+        inst.write_text(json.dumps({"m": 2, "inv_epsilon": 10, "agents": [
+            {"u": ["1", "0"], "tau": "1/2"}, {"u": ["1/10", "2/10"], "tau": "3/10"}]}))
+        for solver in cli.SOLVERS:
+            assert run(["solve", inst, "--solver", solver, "--out", rep]) == 3, solver
+            outcome = json.loads(rep.read_text())["outcome"]
+            assert outcome == {"kind": "Null", "witness": {"reject_all": 2}}, solver
+            capsys.readouterr()
+            assert run(["verify", rep, inst]) == 0, solver
+            assert capsys.readouterr().out == "pass\n"
+
     def test_non_witness_subset_detected(self, ex21, tmp_path, capsys):
         rep = tmp_path / "rep.json"
         run(["solve", ex21, "--out", rep])
@@ -316,6 +334,7 @@ class TestVerify:
         {"helly": 12},
         {"reject_all": 7},
         {"reject_all": "1"},
+        {"reject_all": 1},  # agent 1 accepts e_1
         {"reject_all": 1, "helly": [1, 2]},
         {},
         [1, 2],
@@ -459,6 +478,21 @@ class TestBench:
         name = "the instance" if shared == "instance" else shared
         assert f"{name} and --out name the same file" in capsys.readouterr().err
         assert files[shared].read_bytes() == before
+
+    def test_advice_that_does_not_fit_exits_usage_and_appends_nothing(
+            self, ex21, ex23, tmp_path, capsys, monkeypatch):
+        hint, out = tmp_path / "hint.json", tmp_path / "bench.csv"
+        hint.write_text(json.dumps(["1/2", "1/2"]))  # fits ex21 (m=2), not ex23 (m=3)
+        argv = ["bench", "--solver", "baseline", "--advice-lottery", hint, "--out", out]
+        assert run(argv + [ex21]) == 0
+        before = out.read_bytes()
+        capsys.readouterr()
+        assert run(argv + [ex21, ex23]) == 64
+        assert "dimension mismatch: instance has 3, lottery hint 2" in capsys.readouterr().err
+        assert out.read_bytes() == before
+        monkeypatch.setattr(cli, "_run_solver", None)  # a solver run would raise
+        assert run(argv + [ex23]) == 64
+        assert out.read_bytes() == before
 
     def test_existing_csv_out_still_appends(self, ex23, tmp_path):
         out = tmp_path / "bench.csv"

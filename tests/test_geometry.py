@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 import reference_geometry
+from reference_geometry import bisection_budget
 from reference_instances import expected_utility
 
 from unanimity import (
@@ -26,7 +27,6 @@ from unanimity import (
     solve_baseline,
     solve_deterministic,
 )
-from unanimity.geometry import bisection_budget
 
 TS = QueryCategory.THRESHOLD_SEARCH
 

@@ -5,8 +5,11 @@ For each module of ``src/unanimity`` except ``__init__.py`` (whose imports
 are the public re-exports), every imported name, every top-level private
 function or class and every module constant (an upper-case top-level
 name) must be read somewhere in the module itself.  Leftovers of a
-refactor fail here.  ``solvers.py`` also never reads an attribute named
-``query``: its scans ask agents through ``Oracle.rejecters``.
+refactor fail here.  Every public top-level function or class is
+imported by another module of the package or listed in
+``unanimity.__all__``: code that only tests call belongs under ``tests/``.
+``solvers.py`` also never reads an attribute named ``query``: its scans
+ask agents through ``Oracle.rejecters``.
 """
 
 import ast
@@ -16,6 +19,10 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "unanimity"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
 def _defined(tree: ast.Module) -> dict[str, str]:
@@ -49,18 +56,40 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_names(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _parse(path)
     read = _read(tree)
     unused = sorted(f"{name} ({kind})" for name, kind in _defined(tree).items()
                     if name not in read)
     assert not unused, f"{path.name} never reads: {', '.join(unused)}"
 
 
+def _exported() -> set[str]:
+    for node in _parse(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+            return set(ast.literal_eval(node.value))
+    raise AssertionError("unanimity/__init__.py defines no __all__")
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_names_are_used_or_exported(path):
+    used = _exported()
+    for other in MODULES:
+        if other != path:
+            used.update(alias.name for node in ast.walk(_parse(other))
+                        if isinstance(node, ast.ImportFrom)
+                        and node.module == f"unanimity.{path.stem}"
+                        for alias in node.names)
+    unused = [node.name for node in _parse(path).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in used]
+    assert not unused, (f"{path.name} defines {', '.join(unused)}, which no other "
+                        "module imports and unanimity.__all__ does not list")
+
+
 def test_solvers_ask_agents_only_through_rejecters():
     # Every scan over agents goes through Oracle.rejecters, so the scan can
     # change in one place; a solver that reads ``.query`` asks on its own.
-    path = PACKAGE / "solvers.py"
-    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    tree = _parse(PACKAGE / "solvers.py")
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "query"]
     assert not lines, f"solvers.py reads .query on line(s) {lines}"

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import warnings
 from decimal import Decimal
 from fractions import Fraction as F
@@ -77,6 +78,24 @@ class TestGeneratorSpec:
         generate(GeneratorSpec(family, params))
         with pytest.raises(ValueError, match=f"^parameter {key} must be an integer"):
             generate(GeneratorSpec(family, {**params, key: bad}))
+
+    @pytest.mark.parametrize("family, params, message", [
+        ("random-feasible", {"n": 3, "m": 5, "inv_epsilon": 4},
+         "positive grid lottery needs 1/epsilon >= m (got 4 < 5)"),
+        ("grid-singleton", {"m": 2, "inv_epsilon": 10, "x": ["1/5", "2/5", "2/5"]},
+         "grid point has 3 coordinates, expected 2"),
+        ("dummy-padded", {"n": 1, "m": 2, "inv_epsilon": 10},
+         "dummy-padded needs n >= m (got n=1, m=2)"),
+        ("point-mass", {"m": 3, "j": 4}, "alternative index 4 out of range 1..3"),
+        ("near-threshold", {"inv_epsilon": 3, "delta": "1/25", "t": 0},
+         "near-threshold needs 1/epsilon >= 4"),
+        ("near-threshold", {"inv_epsilon": 10, "delta": 0, "t": 0}, "delta must be positive"),
+        ("random-infeasible", {"n": 1, "m": 2, "inv_epsilon": 10},
+         "random-infeasible needs n >= 2 and m >= 2"),
+    ])
+    def test_family_specific_refusals(self, family, params, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate(GeneratorSpec(family, params))
 
     @pytest.mark.parametrize("family, params, unread", [
         ("example-2-3", {"n": 3, "seed": 1}, "n"),

@@ -7,6 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from reference_geometry import bisection_budget
 from reference_instances import check_ledger, expected_utility, per_agent
 
 from unanimity import (
@@ -25,7 +26,6 @@ from unanimity import (
     weighted_sample,
 )
 from unanimity import solvers
-from unanimity.geometry import bisection_budget
 
 
 def example_23() -> Instance:
@@ -146,8 +146,11 @@ class TestDeterministic:
         assert_sound(inst, report)
 
     def test_order_length_mismatch(self):
-        with pytest.raises(ValueError):
-            solve_deterministic(Oracle(example_23()), Advice(order=(1, 2)))
+        for solve in (solve_deterministic, solve_randomized):
+            o = Oracle(example_23())
+            with pytest.raises(ValueError, match="order covers 2 agents, instance has 3"):
+                solve(o, Advice(order=(1, 2)))
+            assert o.ledger.total == 0, solve.__name__
 
     @pytest.mark.parametrize("agents", [[], [AgentSpec([1, 0, 0], "0.5")]])
     def test_lottery_hint_of_wrong_dimension(self, agents):
@@ -160,8 +163,10 @@ class TestDeterministic:
 
 class TestAdviceValidation:
     def test_order_must_be_permutation(self):
-        with pytest.raises(ValueError):
-            Advice(order=(1, 1, 2))
+        # Only plain ints are agents: no entry is rounded, parsed or split.
+        for order in [(1, 1, 2), [1.9, 2.2], [True, 2], [" 2", "1"], "21"]:
+            with pytest.raises(ValueError, match="order must be a permutation"):
+                Advice(order=order)
 
     def test_kind(self):
         x = Lottery.pure(1, 2)
