@@ -12,10 +12,10 @@ Subcommands (run as ``python -m unanimity ...``):
   ``--trace`` that names the same file as another file of the command is
   refused before anything is written.
 * ``verify`` -- re-check a report against its instance without the oracle:
-  every agent's membership test for an Accepted lottery, the agent's row
-  for a ``reject_all`` witness, and ``feasible_full`` -- the solvers' own
-  LP (``select``) -- for a Helly witness; ROADMAP item 4 (Farkas
-  certificates) would remove that dependency on the solver.
+  every agent's membership test for an Accepted lottery, and for a Helly
+  witness (a ``reject_all`` witness is its one-agent case) ``feasible_full``,
+  the solvers' own LP (``select``); ROADMAP item 4 (Farkas certificates)
+  would remove that dependency on the solver.
 * ``bench``  -- sweep (instance, solver, seed) combinations and append
   rows to a CSV table.  An ``--out`` that names one of its input files is
   refused before any solver runs, and advice that does not fit an instance
@@ -250,32 +250,27 @@ def _is_agent(i, inst: Instance) -> bool:
 def _verify_witness(witness, inst: Instance) -> list[str]:
     """Problems with a Null report's certificate; every Null must carry one.
 
-    Accepted forms: {"reject_all": i} with i in 1..n, or {"helly": [...]}
-    with at most m distinct agents in 1..n.
+    Accepted forms: {"helly": [...]} with at most m distinct agents in 1..n,
+    and {"reject_all": i}, judged as the one-agent Helly witness [i].  A
+    witness fails when one of its agents accepts everything or when the
+    sub-instance of its agents is feasible.
     """
-    if isinstance(witness, dict) and list(witness) == ["reject_all"]:
-        i = witness["reject_all"]
-        if not _is_agent(i, inst):
-            return [f"reject_all witness {i!r} is not an agent index in 1..{inst.n}"]
-        U, T = inst.grid_rows[i - 1]
-        if max(U) >= T:
-            return [f"agent {i} does not reject every pure lottery"]
-        return []
-    if isinstance(witness, dict) and list(witness) == ["helly"]:
-        agents = witness["helly"]
-        if (not isinstance(agents, list) or len(agents) > inst.m
-                or not all(_is_agent(i, inst) for i in agents)
-                or len(set(agents)) != len(agents)):
-            return [f"helly witness {agents!r} is not at most m={inst.m} "
-                    f"distinct agent indices in 1..{inst.n}"]
-        rows = tuple(inst.grid_rows[i - 1] for i in agents)
-        problems = [f"witness agent {i} accepts everything"
-                    for i, (U, T) in zip(agents, rows) if min(U) >= T]
-        sub = Instance._from_grid_rows(inst.m, inst.inv_epsilon, rows)
-        if not problems and feasible_full(sub) is not None:
-            problems.append("claimed witness subset is feasible")
-        return problems
-    return [f'Null report needs a "helly" or a "reject_all" witness, got {witness!r}']
+    if not (isinstance(witness, dict) and list(witness) in (["helly"], ["reject_all"])):
+        return [f'Null report needs a "helly" or a "reject_all" witness, got {witness!r}']
+    [(key, claim)] = witness.items()
+    agents = claim if key == "helly" else [claim]
+    if (not isinstance(agents, list) or len(agents) > inst.m
+            or not all(_is_agent(i, inst) for i in agents)
+            or len(set(agents)) != len(agents)):
+        return [f"{key} witness {claim!r} is not at most m={inst.m} "
+                f"distinct agent indices in 1..{inst.n}"]
+    rows = tuple(inst.grid_rows[i - 1] for i in agents)
+    problems = [f"witness agent {i} accepts everything"
+                for i, (U, T) in zip(agents, rows) if min(U) >= T]
+    sub = Instance._from_grid_rows(inst.m, inst.inv_epsilon, rows)
+    if not problems and feasible_full(sub) is not None:
+        problems.append("claimed witness subset is feasible")
+    return problems
 
 
 def _verify_report(doc, inst: Instance) -> list[str]:

@@ -227,14 +227,19 @@ class Instance:
         return self.epsilon.denominator
 
 
-def edge_lottery(k: int, kprime: int, alpha, m: int) -> Lottery:
-    """The lottery with mass ``alpha`` on k' and ``1 - alpha`` on k, the
-    point of the simplex edge from vertex k to vertex k' (1-based) over m
-    alternatives; ``Lottery`` rejects an alpha outside [0, 1]."""
+def _check_edge(k: int, kprime: int, m: int) -> None:
+    """Refuse a (k, k') that is not an edge of the m-simplex (1-based)."""
     if k == kprime:
         raise ValueError("edge endpoints must be distinct")
     if not (1 <= k <= m and 1 <= kprime <= m):
         raise ValueError("edge endpoints out of range")
+
+
+def edge_lottery(k: int, kprime: int, alpha, m: int) -> Lottery:
+    """The lottery with mass ``alpha`` on k' and ``1 - alpha`` on k, the
+    point of the simplex edge from vertex k to vertex k' (1-based) over m
+    alternatives; ``Lottery`` rejects an alpha outside [0, 1]."""
+    _check_edge(k, kprime, m)
     probs = [ZERO] * m
     probs[k - 1] = ONE - alpha
     probs[kprime - 1] = alpha
@@ -247,8 +252,7 @@ def pairwise_projection(x: Lottery, k: int, kprime: int) -> Fraction:
     Returns x_{k'} / (x_k + x_{k'}) when that pair carries positive mass,
     and 1/2 otherwise.
     """
-    if k == kprime:
-        raise ValueError("edge endpoints must be distinct")
+    _check_edge(k, kprime, x.m)
     xk, xkp = x[k - 1], x[kprime - 1]
     if xk + xkp == 0:
         return Fraction(1, 2)

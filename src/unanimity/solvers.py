@@ -45,6 +45,8 @@ class Advice:
     x_hat: Optional[Lottery] = None
 
     def __init__(self, order=None, x_hat: Optional[Lottery] = None) -> None:
+        if x_hat is not None and not isinstance(x_hat, Lottery):
+            raise ValueError(f"lottery hint must be a Lottery, got {type(x_hat).__name__}")
         if order is not None:
             order = tuple(order)
             # bool is an int subclass; True must not pass for agent 1.
@@ -74,14 +76,14 @@ class Advice:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome plus full accounting for one solver run."""
+    """Outcome (one of lottery, witness, reject_all_agent) and accounting of one run."""
 
-    lottery: Optional[Lottery]
-    witness: Optional[HellyWitness]
-    reject_all_agent: Optional[int]
     ledger: QueryLedger
     learned_agents: frozenset[int]
     iterations: int
+    lottery: Optional[Lottery] = None
+    witness: Optional[HellyWitness] = None
+    reject_all_agent: Optional[int] = None
     rng_seed: Optional[int] = None
 
     @property
@@ -128,18 +130,21 @@ class SolveReport:
         return doc
 
 
-def _report(o: Oracle, learned, iterations, lottery=None, witness=None,
-            reject_all=None, seed=None) -> SolveReport:
-    """Report a finished run: Accepted when ``lottery`` is given, else Null."""
-    return SolveReport(
-        lottery=lottery,
-        witness=witness,
-        reject_all_agent=reject_all,
-        ledger=o.ledger,
-        learned_agents=frozenset(learned),
-        iterations=iterations,
-        rng_seed=seed,
-    )
+def _report(o: Oracle, learned, iterations, seed=None, **outcome) -> SolveReport:
+    """Report a finished run; ``outcome`` names its one outcome field."""
+    return SolveReport(o.ledger, frozenset(learned), iterations, rng_seed=seed, **outcome)
+
+
+def _learn(o: Oracle, learned: dict[int, Optional[tuple]], agents, warm=None) -> Optional[int]:
+    """Learn each agent of ``agents`` not yet in ``learned``, in order, and
+    return the first that rejects every pure lottery (an all-zero row, the
+    one-agent Helly witness), or None when none does."""
+    for i in agents:
+        if i not in learned:
+            row = learned[i] = learn_hyperplane(o, i, warm=warm)
+            if row is not None and not any(row[0]):
+                return i
+    return None
 
 
 def _rows(learned: dict[int, Optional[tuple]], restrict=None) -> list:
@@ -162,10 +167,8 @@ def solve_baseline(o: Oracle) -> SolveReport:
     the reference point the adaptive solvers are measured against.
     """
     learned: dict[int, Optional[tuple]] = {}
-    for i in range(1, o.n + 1):
-        row = learned[i] = learn_hyperplane(o, i)
-        if row is not None and not any(row[0]):
-            return _report(o, learned, 0, reject_all=i)
+    if (i := _learn(o, learned, range(1, o.n + 1))) is not None:
+        return _report(o, learned, 0, reject_all_agent=i)
     C = ConstraintSet(o.m, _rows(learned))
     x = select(C)
     if x is None:
@@ -201,10 +204,8 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
                                 QueryCategory.VERIFICATION, first=True)
         if not violators:
             return _report(o, learned, iterations, lottery=x)
-        violator = violators[0]
-        row = learned[violator] = learn_hyperplane(o, violator, warm=warm)
-        if row is not None and not any(row[0]):
-            return _report(o, learned, iterations, reject_all=violator)
+        if (i := _learn(o, learned, violators, warm)) is not None:
+            return _report(o, learned, iterations, reject_all_agent=i)
 
 
 def weighted_sample(weights: list[int], r_prime: int, rng: random.Random) -> dict[int, int]:
@@ -226,7 +227,7 @@ def weighted_sample(weights: list[int], r_prime: int, rng: random.Random) -> dic
         raise ValueError("all weights must be >= 1")
     prefix = list(accumulate(weights, initial=0))
     total = prefix[-1]
-    if r_prime > total:
+    if not 0 <= r_prime <= total:
         raise ValueError(f"cannot draw {r_prime} copies from a multiset of {total}")
     drawn: list[int] = []
     counts: dict[int, int] = {}
@@ -270,11 +271,8 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         iterations += 1
         r_prime = min(r, total)
         sampled = weighted_sample(weights, r_prime, rng)
-        for i in sorted(sampled):
-            if i not in learned:
-                row = learned[i] = learn_hyperplane(o, i, warm=warm)
-                if row is not None and not any(row[0]):
-                    return _report(o, learned, iterations, reject_all=i, seed=seed)
+        if (i := _learn(o, learned, sorted(sampled), warm)) is not None:
+            return _report(o, learned, iterations, seed, reject_all_agent=i)
         C = ConstraintSet(o.m, _rows(learned, restrict=sampled))
         x = select(C)
         if x is None:

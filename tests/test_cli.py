@@ -5,11 +5,25 @@ import copy
 import csv
 import io
 import json
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from reference_instances import expected_utility
+from reference_lp import select_reference
 
-from unanimity import cli, oracle
+from unanimity import (
+    AgentSpec,
+    ConstraintSet,
+    Instance,
+    Lottery,
+    Oracle,
+    cli,
+    oracle,
+    solve_baseline,
+    solve_deterministic,
+    solve_randomized,
+)
 from unanimity.cli import main
 
 
@@ -678,3 +692,100 @@ def test_fuzzed_json_exits_with_a_documented_code(fuzz_base, data):
     for argv in argvs:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             assert run(argv) in (0, 1, 3, 64, 66)
+
+
+# Soundness: verify passes a Null or Accepted claim exactly when it is true,
+# judged here without the solvers' code: membership in Fractions through
+# AgentSpec, subset feasibility by the reference LP, RejectAll from the
+# utilities.
+
+@st.composite
+def _small_instances(draw):
+    Q = draw(st.sampled_from([2, 3, 5, 10]))
+    m, n = draw(st.integers(1, 4)), draw(st.integers(0, 6))
+    return Instance(m, F(1, Q), [
+        AgentSpec([F(draw(st.integers(0, Q)), Q) for _ in range(m)], F(draw(st.integers(1, Q)), Q))
+        for _ in range(n)])
+
+
+@st.composite
+def _claims(draw, inst, genuine):
+    """A random lottery, Helly set or RejectAll index, or a solver's own
+    outcome, mutated or not."""
+    n, m, Q = inst.n, inst.m, inst.inv_epsilon
+    kind = draw(st.sampled_from(["lottery", "helly", "reject_all", "genuine"]))
+    if kind == "lottery":
+        w = draw(st.lists(st.integers(0, Q), min_size=m, max_size=m).filter(any))
+        return {"kind": "Accepted", "lottery": [str(F(v, sum(w))) for v in w]}
+    if kind == "helly":
+        agents = draw(st.lists(st.integers(1, n), unique=True, max_size=m)
+                      if n and draw(st.booleans()) else st.lists(st.integers(-1, n + 2), max_size=m + 1))
+        return {"kind": "Null", "witness": {"helly": agents}}
+    if kind == "reject_all":
+        return {"kind": "Null", "witness": {"reject_all": draw(st.integers(-1, n + 2))}}
+    outcome = copy.deepcopy(draw(st.sampled_from(genuine)))
+    if outcome["kind"] == "Accepted":
+        x = [F(t) for t in outcome["lottery"]]
+        j, k = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        d = min(x[j], F(1, draw(st.sampled_from([Q, 2 * Q, Q * Q]))))
+        x[j] -= d
+        x[k] += d
+        outcome["lottery"] = [str(p) for p in x]
+        return outcome
+    [(key, claim)] = outcome["witness"].items()
+    agents = claim if key == "helly" else [claim]
+    edit = draw(st.sampled_from(["keep", "drop", "add", "shift", "swap-key"]))
+    if edit == "drop":
+        agents = agents[1:]
+    elif edit == "add":
+        agents = agents + [draw(st.integers(1, n))]
+    elif edit == "shift":
+        agents = [agents[0] + draw(st.sampled_from([-1, 1]))] + agents[1:]
+    if edit == "swap-key" and key == "helly":
+        return {"kind": "Null", "witness": {"reject_all": agents[0]}}
+    if edit == "swap-key" or len(agents) != 1:
+        return {"kind": "Null", "witness": {"helly": agents}}
+    return {"kind": "Null", "witness": {key: agents if key == "helly" else agents[0]}}
+
+
+def _true_claim(outcome, inst) -> bool:
+    agents, Q = inst.agents, inst.inv_epsilon
+    if outcome["kind"] == "Accepted":
+        x = Lottery([F(t) for t in outcome["lottery"]])
+        return all(expected_utility(a, x) >= a.threshold for a in agents)
+    [(key, claim)] = outcome["witness"].items()
+    if key == "reject_all":
+        return 1 <= claim <= inst.n and max(agents[claim - 1].utilities) < agents[claim - 1].threshold
+    if not (len(claim) <= inst.m and len(set(claim)) == len(claim)
+            and all(1 <= i <= inst.n for i in claim)):
+        return False
+    # Each agent must reject some lottery; the rest must meet nowhere.
+    # <U, x> >= T is <U - c, x> >= T - c on the simplex, with every entry of
+    # U - c positive for c = min(U) - 1.
+    rows = []
+    for i in claim:
+        U, T = [int(u * Q) for u in agents[i - 1].utilities], int(agents[i - 1].threshold * Q)
+        if min(U) >= T:
+            return False
+        c = min(U) - 1
+        rows.append((i, ([u - c for u in U], T - c)))
+    return select_reference(ConstraintSet(inst.m, rows)) is None
+
+
+class TestVerifySoundness:
+    """``verify`` passes exactly the true claims, and every report the three
+    solvers write."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_passes_exactly_the_true_claims(self, data):
+        inst = data.draw(_small_instances())
+        genuine = [solve_baseline(Oracle(inst)).to_json_dict(),
+                   solve_deterministic(Oracle(inst)).to_json_dict(),
+                   solve_randomized(Oracle(inst), seed=data.draw(st.integers(0, 99))).to_json_dict()]
+        for doc in genuine:
+            assert cli._verify_report(doc, inst) == [], doc
+        for _ in range(6):
+            outcome = data.draw(_claims(inst, [doc["outcome"] for doc in genuine]))
+            passed = cli._verify_report({"outcome": outcome}, inst) == []
+            assert passed == _true_claim(outcome, inst), outcome

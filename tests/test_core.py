@@ -234,6 +234,16 @@ class TestPairwiseProjection:
     def test_all_mass_on_kprime(self):
         assert pairwise_projection(Lottery([0, 1, 0]), 1, 2) == 1
 
+    @pytest.mark.parametrize("k, kprime", [(0, 1), (1, 0), (-1, 2), (1, 4), (4, 2)])
+    def test_endpoints_out_of_range(self, k, kprime):
+        x = Lottery(["1/4", "1/4", "1/2"])
+        with pytest.raises(ValueError, match="edge endpoints out of range"):
+            pairwise_projection(x, k, kprime)
+
+    def test_equal_endpoints(self):
+        with pytest.raises(ValueError, match="edge endpoints must be distinct"):
+            pairwise_projection(Lottery.pure(1, 2), 2, 2)
+
     @given(st.fractions(min_value=0, max_value=1, max_denominator=40))
     def test_round_trip_with_edge_lottery(self, alpha):
         x = edge_lottery(1, 3, alpha, 4)

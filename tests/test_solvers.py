@@ -168,6 +168,11 @@ class TestAdviceValidation:
             with pytest.raises(ValueError, match="order must be a permutation"):
                 Advice(order=order)
 
+    @pytest.mark.parametrize("x_hat", [["1/2", "1/4", "1/4"], ("1/2", "1/4", "1/4"), "1/2,1/4,1/4"])
+    def test_lottery_hint_must_be_a_lottery(self, x_hat):
+        with pytest.raises(ValueError, match="lottery hint must be a Lottery, got "):
+            Advice(x_hat=x_hat)
+
     def test_kind(self):
         x = Lottery.pure(1, 2)
         assert Advice().kind == "None"
@@ -295,6 +300,11 @@ class TestWeightedSample:
         with pytest.raises(ValueError):
             weighted_sample([1], 2, random.Random(0))
 
+    @pytest.mark.parametrize("r_prime", [-1, -2, -7])
+    def test_negative_draw_rejected(self, r_prime):
+        with pytest.raises(ValueError, match=f"cannot draw {r_prime} copies from a multiset of 6"):
+            weighted_sample([1, 2, 3], r_prime, random.Random(0))
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.integers(1, 6) | st.integers(1, 2**70), min_size=1, max_size=40),
@@ -421,6 +431,46 @@ class TestRecordCount:
         inst = example_23()
         for order in ((1, 2, 3), (3, 2, 1)):
             assert record_count(inst, order) in {1, 2, 3}
+
+
+class TestReportLedger:
+    """The accounting identities every solver report keeps: the query counts
+    add up three ways, each learned agent costs exactly m PureVertex queries,
+    an Accepted lottery was put to every agent, and a Null witness names only
+    learned agents."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(family=st.sampled_from(["random-feasible", "random-infeasible"]),
+           n=st.integers(2, 40), m=st.integers(2, 5), inv_eps=st.sampled_from([5, 10, 20]),
+           seed=st.integers(0, 2**16))
+    def test_identities(self, family, n, m, inv_eps, seed):
+        inst, _, _ = generate(GeneratorSpec(
+            family, {"n": n, "m": m, "inv_epsilon": inv_eps, "seed": seed}))
+        rng = random.Random(seed)
+        order = rng.sample(range(1, n + 1), n)
+        weights = [rng.randint(0, 3) for _ in range(m)]
+        weights[rng.randrange(m)] += 1
+        hint = Lottery([F(w, sum(weights)) for w in weights])
+        runs = [solve_baseline(Oracle(inst))]
+        for advice in (Advice(), Advice(order=order), Advice(x_hat=hint),
+                       Advice(order=order, x_hat=hint)):
+            runs.append(solve_deterministic(Oracle(inst), advice))
+            runs.append(solve_randomized(Oracle(inst), advice, seed=seed))
+        for report in runs:
+            doc = report.to_json_dict()
+            queries = doc["queries"]
+            assert queries["total"] == sum(queries["per_agent"].values())
+            assert queries["total"] == sum(queries["per_category"].values())
+            assert doc["record_count"] == len(doc["learned_agents"])
+            assert (queries["per_category"].get("PureVertex", 0)
+                    == m * len(doc["learned_agents"]))
+            outcome = doc["outcome"]
+            if outcome["kind"] == "Accepted":
+                assert set(queries["per_agent"]) == {str(i) for i in range(1, n + 1)}
+            else:
+                witness = outcome["witness"]
+                claimed = witness.get("helly", [witness.get("reject_all")])
+                assert set(claimed) <= set(doc["learned_agents"])
 
 
 class TestReportSerialization:
