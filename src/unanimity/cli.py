@@ -38,7 +38,7 @@ from operator import mul
 from unanimity.core import Instance, Lottery, format_rational, parse_rational
 from unanimity.feasibility import feasible_full
 from unanimity.instances import FAMILIES, GeneratorSpec, generate, read_instance, write_instance
-from unanimity.oracle import Oracle
+from unanimity.oracle import Oracle, QueryCategory
 from unanimity.solvers import Advice, SolveReport, solve_baseline, solve_deterministic, solve_randomized
 
 EXIT_ACCEPTED = 0
@@ -316,12 +316,11 @@ def _cmd_verify(args) -> int:
 
 def _bench_row(path: str, inst: Instance, solver: str, advice: Advice,
                seed: int, report: SolveReport, wall_ms: float) -> list:
-    per_cat = {cat.value: c for cat, c in report.ledger.per_category.items()}
+    per_category = report.ledger.per_category
     return [
         path, inst.n, inst.m, inst.inv_epsilon, solver, advice.kind, seed,
         report.outcome_kind, report.ledger.total,
-        per_cat.get("PureVertex", 0), per_cat.get("ThresholdSearch", 0),
-        per_cat.get("Verification", 0), per_cat.get("AdviceCheck", 0),
+        *(per_category.get(cat, 0) for cat in QueryCategory),
         len(report.learned_agents), report.record_count, report.iterations,
         f"{wall_ms:.3f}",
     ]

@@ -37,15 +37,17 @@ from unanimity.oracle import Oracle, QueryCategory
 def rational_reconstruct(lo: int, hi: int, D: int, Q: int) -> Fraction:
     """Recover the unique rational in [lo/D, hi/D] with denominator <= Q.
 
-    The caller guarantees D > 0 and a bracket at most 1/(2 Q^2) wide.  Two
-    such rationals are at least 1/Q^2 apart, so at most one lies inside.
-    If p/q does, it is within 1/(4 Q^2) < 1/(2 q^2) of the midpoint
+    D < 1 is a ValueError; the caller guarantees a bracket at most 1/(2 Q^2)
+    wide.  Two such rationals are at least 1/Q^2 apart, so at most one lies
+    inside.  If p/q does, it is within 1/(4 Q^2) < 1/(2 q^2) of the midpoint
     (lo + hi)/2D, so by Legendre's theorem it is a convergent of the
     midpoint's continued fraction, and the last convergent with denominator
     <= Q, which is no farther from the midpoint, is p/q itself: the value
     ``Fraction.limit_denominator(Q)`` returns.  The walk runs in ints and
     the result is checked by cross-multiplication.
     """
+    if D < 1:
+        raise ValueError(f"bracket denominator must be positive, got {D}")
     n, d = lo + hi, 2 * D  # the midpoint, not reduced: the walk is scale-free
     p0, q0, p1, q1 = 0, 1, 1, 0
     while d:

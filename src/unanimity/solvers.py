@@ -76,14 +76,14 @@ class Advice:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Outcome (one of lottery, witness, reject_all_agent) and accounting of one run."""
+    """Outcome and accounting of one run: an Accepted run sets ``lottery``,
+    a Null run the ``witness`` that certifies it."""
 
     ledger: QueryLedger
     learned_agents: frozenset[int]
     iterations: int
     lottery: Optional[Lottery] = None
     witness: Optional[HellyWitness] = None
-    reject_all_agent: Optional[int] = None
     rng_seed: Optional[int] = None
 
     @property
@@ -103,17 +103,13 @@ class SolveReport:
         return "Accepted" if self.accepted else "Null"
 
     def to_json_dict(self) -> dict:
+        outcome = {"kind": self.outcome_kind}
         if self.accepted:
-            outcome = {
-                "kind": "Accepted",
-                "lottery": [format_rational(p) for p in self.lottery.probs],
-            }
+            outcome["lottery"] = [format_rational(p) for p in self.lottery.probs]
         else:
-            outcome = {"kind": "Null"}
-            if self.witness is not None:
-                outcome["witness"] = {"helly": sorted(self.witness.agents)}
-            elif self.reject_all_agent is not None:
-                outcome["witness"] = {"reject_all": self.reject_all_agent}
+            # One agent means RejectAll: a learned row holds at a vertex, and none is all zero.
+            w = sorted(self.witness.agents)
+            outcome["witness"] = {"helly": w} if len(w) > 1 else {"reject_all": w[0]}
         doc = {
             "outcome": outcome,
             "queries": {
@@ -135,15 +131,16 @@ def _report(o: Oracle, learned, iterations, seed=None, **outcome) -> SolveReport
     return SolveReport(o.ledger, frozenset(learned), iterations, rng_seed=seed, **outcome)
 
 
-def _learn(o: Oracle, learned: dict[int, Optional[tuple]], agents, warm=None) -> Optional[int]:
-    """Learn each agent of ``agents`` not yet in ``learned``, in order, and
-    return the first that rejects every pure lottery (an all-zero row, the
-    one-agent Helly witness), or None when none does."""
+def _learn(o: Oracle, learned: dict[int, Optional[tuple]], agents,
+           warm=None) -> Optional[HellyWitness]:
+    """Learn each agent of ``agents`` not yet in ``learned``, in order.
+    Return the one-agent Helly witness of the first that rejects every pure
+    lottery (RejectAll, an all-zero row), or None when none does."""
     for i in agents:
         if i not in learned:
             row = learned[i] = learn_hyperplane(o, i, warm=warm)
             if row is not None and not any(row[0]):
-                return i
+                return HellyWitness(frozenset({i}))
     return None
 
 
@@ -167,8 +164,8 @@ def solve_baseline(o: Oracle) -> SolveReport:
     the reference point the adaptive solvers are measured against.
     """
     learned: dict[int, Optional[tuple]] = {}
-    if (i := _learn(o, learned, range(1, o.n + 1))) is not None:
-        return _report(o, learned, 0, reject_all_agent=i)
+    if (w := _learn(o, learned, range(1, o.n + 1))) is not None:
+        return _report(o, learned, 0, witness=w)
     C = ConstraintSet(o.m, _rows(learned))
     x = select(C)
     if x is None:
@@ -204,8 +201,8 @@ def solve_deterministic(o: Oracle, advice: Advice = Advice()) -> SolveReport:
                                 QueryCategory.VERIFICATION, first=True)
         if not violators:
             return _report(o, learned, iterations, lottery=x)
-        if (i := _learn(o, learned, violators, warm)) is not None:
-            return _report(o, learned, iterations, reject_all_agent=i)
+        if (w := _learn(o, learned, violators, warm)) is not None:
+            return _report(o, learned, iterations, witness=w)
 
 
 def weighted_sample(weights: list[int], r_prime: int, rng: random.Random) -> dict[int, int]:
@@ -271,8 +268,8 @@ def solve_randomized(o: Oracle, advice: Advice = Advice(), seed: int = 0) -> Sol
         iterations += 1
         r_prime = min(r, total)
         sampled = weighted_sample(weights, r_prime, rng)
-        if (i := _learn(o, learned, sorted(sampled), warm)) is not None:
-            return _report(o, learned, iterations, seed, reject_all_agent=i)
+        if (w := _learn(o, learned, sorted(sampled), warm)) is not None:
+            return _report(o, learned, iterations, witness=w, seed=seed)
         C = ConstraintSet(o.m, _rows(learned, restrict=sampled))
         x = select(C)
         if x is None:

@@ -136,6 +136,12 @@ class TestRationalReconstruct:
         with pytest.raises(ArithmeticError):
             rational_reconstruct(101, 102, 1000, 5)
 
+    @pytest.mark.parametrize("lo,hi,D", [(0, 0, 0), (1, 2, -4)])
+    def test_nonpositive_denominator_is_refused(self, lo, hi, D):
+        # Unchecked, D = 0 divides by zero and D = -4 returns -1/3.
+        with pytest.raises(ValueError, match="denominator must be positive"):
+            rational_reconstruct(lo, hi, D, 5)
+
     @settings(max_examples=300, deadline=None)
     @given(
         Q=st.integers(2, 5000),
@@ -230,6 +236,21 @@ class TestExactThreshold:
         for Q in [*range(2, 5001), 10**9]:
             assert bisection_budget(Q) == math.ceil(math.log2(2 * Q * Q)), Q
 
+    def test_budget_is_within_three_queries_of_the_counting_floor(self):
+        # A turning point is one of the sum_{q <= Q} phi(q) fractions in
+        # (0, 1] with denominator <= Q, so no search asks fewer than
+        # ceil(log2) of that many queries; bisection asks 2 or 3 more.
+        N = 2000
+        phi = list(range(N + 1))
+        for p in range(2, N + 1):
+            if phi[p] == p:  # p is prime
+                for k in range(p, N + 1, p):
+                    phi[k] -= phi[k] // p
+        count = 1
+        for Q in range(2, N + 1):
+            count += phi[Q]
+            assert bisection_budget(Q) - (count - 1).bit_length() in (2, 3), Q
+
 
 class TestExactThresholdPred:
     def test_matches_plain_search_for_assorted_hints(self):
@@ -272,18 +293,40 @@ class TestExactThresholdPred:
         with pytest.raises(ValueError, match="exponent beyond"):
             exact_threshold_pred(Oracle(inst), 1, 1, 2, "1e-5000")
 
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_query_bound_grows_with_the_hint_error(self, data):
+        # Walking out from the hint and bisecting back each cost about
+        # log2(1 + |alpha_hat - alpha*| / (eps^2/2)) queries, and never
+        # more than twice the cold search's B.
+        inst, k, kp, alpha = data.draw(turning_edges(ms=st.just(2), Qs=st.integers(2, 10**9)))
+        d = data.draw(st.integers(1, 10**15), label="hint denominator")
+        near = alpha.numerator * d // alpha.denominator
+        t = data.draw(st.integers(0, d) | st.integers(max(near - 3, 0), min(near + 3, d)),
+                      label="hint numerator")
+        hint = F(t, d)
+        o = Oracle(inst)
+        assert exact_threshold_pred(o, 1, k, kp, hint) == exact_threshold(Oracle(inst), 1, k, kp)
+        Q = inst.inv_epsilon
+        B = bisection_budget(Q)
+        r = 1 + 2 * Q * Q * abs(hint - alpha)
+        # ceil(log2 r) is ceil(log2 ceil(r)): the bit length of ceil(r) - 1.
+        walk = (-(-r.numerator // r.denominator) - 1).bit_length()
+        assert o.ledger.total <= min(2 * B, 2 * walk + 2)
+
 
 @st.composite
-def turning_edges(draw):
-    """One agent over m = 2 or 3 whose turning point on the edge (k, k') is
-    a drawn p/q with q <= Q and 0 < p/q <= 1: U_k = base, U_k' = base + q c,
-    T = base + p c.  Returns the instance, k, k' and p/q."""
-    Q = draw(st.integers(2, 5000) | st.just(10**9))
+def turning_edges(draw, ms=st.integers(2, 3), Qs=st.integers(2, 5000) | st.just(10**9)):
+    """One agent over m alternatives (drawn from ``ms``, default 2 or 3)
+    whose turning point on the edge (k, k') is a drawn p/q with q <= Q and
+    0 < p/q <= 1: U_k = base, U_k' = base + q c, T = base + p c.  Returns
+    the instance, k, k' and p/q."""
+    Q = draw(Qs)
     q = draw(st.integers(1, Q))
     p = draw(st.integers(1, q))
     c = draw(st.integers(1, Q // q))
     base = draw(st.integers(0, Q - q * c))
-    m = draw(st.integers(2, 3))
+    m = draw(ms)
     k, kp = draw(st.permutations(range(1, m + 1)))[:2]
     U = [draw(st.integers(0, Q)) for _ in range(m)]
     U[k - 1], U[kp - 1] = base, base + q * c

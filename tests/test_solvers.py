@@ -89,7 +89,7 @@ class TestOutcomes:
         ])
         report = run(Oracle(inst))
         assert not report.accepted
-        assert report.reject_all_agent == 2
+        assert report.witness.agents == frozenset({2})
         # RejectAll is detected from the vertex scan (m queries), possibly
         # after one verification query flagged the agent as a violator.
         assert per_agent(report.ledger)[2] <= 3
@@ -247,7 +247,7 @@ class TestRandomized:
         assert report.lottery == Lottery.pure(1, 1) and report.iterations == 1
         inst = Instance(1, F(1, 2), [AgentSpec([1], 1), AgentSpec([0], F(1, 2))])
         report = solve_randomized(Oracle(inst), seed=0)
-        assert not report.accepted and report.reject_all_agent == 2
+        assert not report.accepted and report.witness.agents == frozenset({2})
 
 
 def scan_weighted_sample(weights: list[int], r_prime: int, rng: random.Random) -> dict[int, int]:
@@ -437,7 +437,9 @@ class TestReportLedger:
     """The accounting identities every solver report keeps: the query counts
     add up three ways, each learned agent costs exactly m PureVertex queries,
     an Accepted lottery was put to every agent, and a Null witness names only
-    learned agents."""
+    learned agents, one exactly when it rejects every pure lottery.  A
+    rejected lottery hint costs n AdviceCheck queries and at most doubles
+    the ThresholdSearch ones, and changes nothing else."""
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["random-feasible", "random-infeasible"]),
@@ -452,10 +454,12 @@ class TestReportLedger:
         weights[rng.randrange(m)] += 1
         hint = Lottery([F(w, sum(weights)) for w in weights])
         runs = [solve_baseline(Oracle(inst))]
+        by_advice = {}
         for advice in (Advice(), Advice(order=order), Advice(x_hat=hint),
                        Advice(order=order, x_hat=hint)):
-            runs.append(solve_deterministic(Oracle(inst), advice))
-            runs.append(solve_randomized(Oracle(inst), advice, seed=seed))
+            by_advice[advice.kind] = (solve_deterministic(Oracle(inst), advice),
+                                      solve_randomized(Oracle(inst), advice, seed=seed))
+            runs += by_advice[advice.kind]
         for report in runs:
             doc = report.to_json_dict()
             queries = doc["queries"]
@@ -467,10 +471,25 @@ class TestReportLedger:
             outcome = doc["outcome"]
             if outcome["kind"] == "Accepted":
                 assert set(queries["per_agent"]) == {str(i) for i in range(1, n + 1)}
-            else:
-                witness = outcome["witness"]
-                claimed = witness.get("helly", [witness.get("reject_all")])
-                assert set(claimed) <= set(doc["learned_agents"])
+                continue
+            claimed = sorted(report.witness.agents)
+            assert set(claimed) <= set(doc["learned_agents"])
+            reject_all = [max(U) < T for U, T in (inst.grid_rows[i - 1] for i in claimed)]
+            assert (len(claimed) == 1) == any(reject_all)
+            assert outcome["witness"] == (
+                {"reject_all": claimed[0]} if len(claimed) == 1 else {"helly": claimed})
+        if all(expected_utility(a, hint) >= a.threshold for a in inst.agents):
+            return
+        for hinted, plain in (("LotteryHint", "None"), ("Both", "Permutation")):
+            for h, p in zip(by_advice[hinted], by_advice[plain]):
+                h_cats, p_cats = h.ledger.per_category, p.ledger.per_category
+                assert h_cats[QueryCategory.ADVICE_CHECK] == n
+                assert (h_cats.get(QueryCategory.THRESHOLD_SEARCH, 0)
+                        <= 2 * p_cats.get(QueryCategory.THRESHOLD_SEARCH, 0))
+                for cat in (QueryCategory.PURE_VERTEX, QueryCategory.VERIFICATION):
+                    assert h_cats.get(cat, 0) == p_cats.get(cat, 0)
+                assert ((h.lottery, h.witness, h.learned_agents, h.iterations)
+                        == (p.lottery, p.witness, p.learned_agents, p.iterations))
 
 
 class TestReportSerialization:
