@@ -238,8 +238,10 @@ def _check_edge(k: int, kprime: int, m: int) -> None:
 def edge_lottery(k: int, kprime: int, alpha, m: int) -> Lottery:
     """The lottery with mass ``alpha`` on k' and ``1 - alpha`` on k, the
     point of the simplex edge from vertex k to vertex k' (1-based) over m
-    alternatives; ``Lottery`` rejects an alpha outside [0, 1]."""
+    alternatives.  ``alpha`` is a Fraction, an int or a rational string; a
+    float or a bool is a ValueError, as is an alpha outside [0, 1]."""
     _check_edge(k, kprime, m)
+    alpha = _as_fraction(alpha)
     probs = [ZERO] * m
     probs[k - 1] = ONE - alpha
     probs[kprime - 1] = alpha
@@ -250,8 +252,10 @@ def pairwise_projection(x: Lottery, k: int, kprime: int) -> Fraction:
     """Relative mass of x on k' after renormalizing to the (k, k') edge.
 
     Returns x_{k'} / (x_k + x_{k'}) when that pair carries positive mass,
-    and 1/2 otherwise.
+    and 1/2 otherwise.  An x that is not a Lottery is a ValueError.
     """
+    if not isinstance(x, Lottery):
+        raise ValueError(f"projected point must be a Lottery, got {type(x).__name__}")
     _check_edge(k, kprime, x.m)
     xk, xkp = x[k - 1], x[kprime - 1]
     if xk + xkp == 0:

@@ -1,12 +1,13 @@
-"""Exact feasibility over learned constraints: Select, witnesses, brute force.
+"""Exact feasibility over learned constraints: select, witnesses, reference.
 
 A constraint is an integer row (a, b) meaning <a, x> >= b over the
 probability simplex, in the form ``learn_hyperplane`` returns and
-``feasible_full`` reads off an instance's grid.  ``select`` returns the
-lexicographically maximum feasible lottery, or None when the rows are
-infeasible; ``helly_witness`` shrinks an infeasible set to a minimal
-infeasible subset of at most m owners; and ``feasible_full`` decides a
-known instance without any oracle queries.
+``feasible_full`` reads off an instance's grid.  Any integer row is taken
+as it is: an all-zero row with b > 0 is simply infeasible.  ``select``
+returns the lexicographically maximum feasible lottery, or None when the
+rows are infeasible; ``helly_witness`` shrinks an infeasible set to a
+minimal infeasible subset of at most m owners; and ``feasible_full``
+decides a known instance without any oracle queries.
 
 The LP engine is the dual simplex of Seidel (1991) over one m-by-m basis,
 with the integer pivoting of Avis's lrs: Python ints for the basis inverse
@@ -27,7 +28,7 @@ from unanimity.core import Instance, Lottery
 @dataclass(frozen=True)
 class ConstraintSet:
     """Integer halfspace rows (a, b), <a, x> >= b over the m-simplex, one
-    row per owner."""
+    row per owner.  Any row of m plain ints is taken, all-zero ones too."""
 
     m: int
     rows: tuple[tuple[int, tuple[tuple[int, ...], int]], ...]
@@ -47,10 +48,6 @@ class ConstraintSet:
             # Fraction, and a fixed-width integer could overflow.
             if {type(b), *map(type, a)} != {int}:
                 raise ValueError(f"agent {owner}: constraint row entries must be ints")
-            if not any(a):
-                # <0, x> >= b > 0 is RejectAll in disguise; solvers must surface
-                # that as a Null outcome before ever building an LP.
-                raise ValueError(f"agent {owner}: all-zero constraint row")
             seen.add(owner)
             packed.append((owner, (a, b)))
         object.__setattr__(self, "m", m)
@@ -145,17 +142,9 @@ def helly_witness(C: ConstraintSet) -> HellyWitness:
 def feasible_full(inst: Instance) -> Optional[Lottery]:
     """Zero-query ground truth: decide the instance from its hidden data.
 
-    Skips agents that accept everything, short-circuits None on an
-    agent that rejects every pure lottery, and otherwise runs select over
-    the grid rows (U - U_r, T - U_r), r the agent's first rejected vertex.
-    On the simplex <U - U_r, x> = <U, x> - U_r, so each row accepts exactly
-    its agent's lotteries.
+    Runs select over the grid rows themselves: row (U, T) is the agent's
+    own test <U, x> >= T in units of epsilon.  An agent that accepts
+    everything gives a row that never binds, and one that rejects every
+    lottery (max(U) < T) a row that no lottery meets.
     """
-    rows = []
-    for idx, (U, T) in enumerate(inst.grid_rows, start=1):
-        if max(U) < T:
-            return None
-        U_r = next((u for u in U if u < T), None)
-        if U_r is not None:
-            rows.append((idx, (tuple(u - U_r for u in U), T - U_r)))
-    return select(ConstraintSet(inst.m, rows))
+    return select(ConstraintSet(inst.m, list(enumerate(inst.grid_rows, start=1))))

@@ -157,10 +157,13 @@ def learn_hyperplane(
     Pivots are the smallest admissible indices, for deterministic traces.
 
     With ``warm`` given, every turning-point search is seeded with the
-    warm lottery's pairwise projection onto the edge; a warm lottery of
-    another dimension than the instance's is a ValueError.
+    warm lottery's pairwise projection onto the edge; a ``warm`` that is
+    not a Lottery, or of another dimension than the instance's, is a
+    ValueError.
     """
     m = o.m
+    if warm is not None and not isinstance(warm, Lottery):
+        raise ValueError(f"warm lottery must be a Lottery, got {type(warm).__name__}")
     if warm is not None and warm.m != m:
         raise ValueError(f"dimension mismatch: instance has {m}, warm lottery {warm.m}")
     accepted: list[int] = []

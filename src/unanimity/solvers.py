@@ -107,7 +107,8 @@ class SolveReport:
         if self.accepted:
             outcome["lottery"] = [format_rational(p) for p in self.lottery.probs]
         else:
-            # One agent means RejectAll: a learned row holds at a vertex, and none is all zero.
+            # One agent means RejectAll: every other learned row holds at a vertex,
+            # and _learn stops at the first all-zero row before it reaches the LP.
             w = sorted(self.witness.agents)
             outcome["witness"] = {"helly": w} if len(w) > 1 else {"reject_all": w[0]}
         doc = {
@@ -135,7 +136,9 @@ def _learn(o: Oracle, learned: dict[int, Optional[tuple]], agents,
            warm=None) -> Optional[HellyWitness]:
     """Learn each agent of ``agents`` not yet in ``learned``, in order.
     Return the one-agent Helly witness of the first that rejects every pure
-    lottery (RejectAll, an all-zero row), or None when none does."""
+    lottery (RejectAll, an all-zero row), or None when none does.  Stopping
+    there keeps the query counts of the one-agent lemma, and is the only
+    reason an all-zero row never reaches the LP from a solver."""
     for i in agents:
         if i not in learned:
             row = learned[i] = learn_hyperplane(o, i, warm=warm)

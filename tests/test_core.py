@@ -222,6 +222,15 @@ class TestEdgeLottery:
         x = edge_lottery(2, 4, alpha, 5)
         assert sum(x.probs) == 1 and all(p >= 0 for p in x.probs)
 
+    def test_alpha_is_read_as_an_exact_rational(self):
+        # Strings parse as at every library entry point; a float or a bool
+        # is refused, since neither is an exact rational.
+        assert edge_lottery(1, 2, "1/2", 2) == edge_lottery(1, 2, F(1, 2), 2)
+        assert edge_lottery(1, 3, "0.25", 3).probs == (F(3, 4), 0, F(1, 4))
+        for alpha in [0.5, True]:
+            with pytest.raises(ValueError, match="not an exact rational"):
+                edge_lottery(1, 2, alpha, 2)
+
 
 class TestPairwiseProjection:
     def test_worked_example(self):
@@ -243,6 +252,11 @@ class TestPairwiseProjection:
     def test_equal_endpoints(self):
         with pytest.raises(ValueError, match="edge endpoints must be distinct"):
             pairwise_projection(Lottery.pure(1, 2), 2, 2)
+
+    @pytest.mark.parametrize("x", [["1/2", "1/2"], ("1/2", "1/2"), "1/2,1/2"])
+    def test_point_must_be_a_lottery(self, x):
+        with pytest.raises(ValueError, match="projected point must be a Lottery, got "):
+            pairwise_projection(x, 1, 2)
 
     @given(st.fractions(min_value=0, max_value=1, max_denominator=40))
     def test_round_trip_with_edge_lottery(self, alpha):

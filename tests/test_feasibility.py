@@ -1,4 +1,5 @@
-"""Tests for exact selection, infeasibility witnesses, and brute force."""
+"""Tests for exact selection, infeasibility witnesses, and the zero-query
+reference decision."""
 
 import itertools
 import math
@@ -55,9 +56,17 @@ class TestConstraintSet:
         with pytest.raises(ValueError):
             ConstraintSet(2, [(1, ((1, 0), 1)), (1, ((0, 1), 1))])
 
-    def test_all_zero_row_rejected(self):
-        with pytest.raises(ValueError, match="agent 1: all-zero constraint row"):
-            ConstraintSet(2, [(1, ((0, 0), 1))])
+    def test_all_zero_row_is_an_ordinary_row(self):
+        # <0, x> >= b holds nowhere for b > 0, so RejectAll is an ordinary
+        # infeasible row whose owner alone is the minimal witness; for b <= 0
+        # it holds everywhere and never binds.
+        for b in (1, 3):
+            C = ConstraintSet(3, [(1, ((0, 0, 0), b)), (2, ((1, 2, 3), 1))])
+            assert select(C) is None and select_reference(C) is None and select_tableau(C) is None
+            assert helly_witness(C).agents == helly_witness_reference(C) == frozenset({1})
+        C = example_rows()
+        for b in (0, -2):
+            assert select(ConstraintSet(3, [(9, ((0, 0, 0), b))] + list(C.rows))) == select(C)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(ValueError):
@@ -202,6 +211,30 @@ class TestFeasibleFull:
     def test_query_free(self):
         # No oracle exists here at all: feasible_full works off the instance.
         assert feasible_full(self.example_instance()) is not None
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_reference_on_degenerate_grids(self, data):
+        # Utilities often equal the threshold, and some agents are all zero
+        # (RejectAll) or accept every vertex: feasible_full runs select over
+        # the grid rows as they are, so it must agree with the reference LP
+        # there too (every T >= 1, as select_reference requires).
+        m, Q = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 12))
+        agents = []
+        for _ in range(data.draw(st.integers(0, 6))):
+            T = data.draw(st.integers(1, Q))
+            # About a quarter of the utilities sit exactly on the threshold.
+            unit = st.one_of(st.just(T), st.integers(0, Q), st.integers(0, Q), st.integers(0, Q))
+            U = data.draw(st.lists(unit, min_size=m, max_size=m))
+            kind = data.draw(st.sampled_from(["drawn", "drawn", "zero", "accept_all"]))
+            if kind == "zero":
+                U = [0] * m
+            elif kind == "accept_all":
+                U = [max(u, T) for u in U]
+            agents.append(AgentSpec([F(u, Q) for u in U], F(T, Q)))
+        inst = Instance(m, F(1, Q), agents)
+        C = ConstraintSet(m, list(enumerate(inst.grid_rows, 1)))
+        assert feasible_full(inst) == select_reference(C)
 
 
 QUARTERS = st.integers(-8, 12).map(lambda a: F(a, 4))

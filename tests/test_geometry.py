@@ -477,6 +477,14 @@ class TestLearnHyperplane:
             learn_hyperplane(o, 1, warm=warm)
         assert o.ledger.total == 0
 
+    @pytest.mark.parametrize("warm", [["1/2", "1/2"], ("1/2", "1/2"), "1/2,1/2"])
+    def test_warm_must_be_a_lottery(self, warm):
+        inst = Instance(2, F(1, 10), [AgentSpec(["1", "0"], "0.6")])
+        o = Oracle(inst)
+        with pytest.raises(ValueError, match="warm lottery must be a Lottery, got "):
+            learn_hyperplane(o, 1, warm=warm)
+        assert o.ledger.total == 0
+
     def test_zero_projection_error_query_bound(self):
         # The uniform lottery projects to 1/2 on every edge; this agent's
         # turning points all sit at 1/2, so the hint is edge-perfect while

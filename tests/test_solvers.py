@@ -435,11 +435,13 @@ class TestRecordCount:
 
 class TestReportLedger:
     """The accounting identities every solver report keeps: the query counts
-    add up three ways, each learned agent costs exactly m PureVertex queries,
-    an Accepted lottery was put to every agent, and a Null witness names only
-    learned agents, one exactly when it rejects every pure lottery.  A
-    rejected lottery hint costs n AdviceCheck queries and at most doubles
-    the ThresholdSearch ones, and changes nothing else."""
+    add up three ways, each learned agent costs exactly m PureVertex queries
+    and is charged at least m, every agent named lies in 1..n, every
+    category is a ``QueryCategory``, an Accepted lottery was put to every
+    agent, and a Null witness names only learned agents, one exactly when
+    it rejects every pure lottery.  A rejected lottery hint costs n
+    AdviceCheck queries and at most doubles the ThresholdSearch ones, and
+    changes nothing else."""
 
     @settings(max_examples=60, deadline=None)
     @given(family=st.sampled_from(["random-feasible", "random-infeasible"]),
@@ -468,6 +470,10 @@ class TestReportLedger:
             assert doc["record_count"] == len(doc["learned_agents"])
             assert (queries["per_category"].get("PureVertex", 0)
                     == m * len(doc["learned_agents"]))
+            assert set(doc["learned_agents"]) <= set(range(1, n + 1))
+            assert set(queries["per_agent"]) <= {str(i) for i in range(1, n + 1)}
+            assert all(queries["per_agent"][str(i)] >= m for i in doc["learned_agents"])
+            assert set(queries["per_category"]) <= {cat.value for cat in QueryCategory}
             outcome = doc["outcome"]
             if outcome["kind"] == "Accepted":
                 assert set(queries["per_agent"]) == {str(i) for i in range(1, n + 1)}
